@@ -18,7 +18,6 @@ type t = {
   fusion : bool;
   time_tile : int;
   time_block : int;
-  pipeline : bool;
   pipe_budget : int;
 }
 
@@ -51,7 +50,6 @@ let default_faults =
   | _ -> None
 
 let default_fusion = env_flag "SF_FUSION"
-let default_pipeline = env_flag "SF_PIPELINE"
 let default_pipe_budget = env_int "SF_PIPE_BUDGET" (1 lsl 26)
 
 let default =
@@ -73,7 +71,6 @@ let default =
     fusion = default_fusion;
     time_tile = 1;
     time_block = 0;
-    pipeline = default_pipeline;
     pipe_budget = default_pipe_budget;
   }
 

@@ -65,11 +65,6 @@ type t = {
   time_block : int;
       (** outer-axis block size (lattice points) for the time-tiled sweep;
           [0] picks a size automatically *)
-  pipeline : bool;
-      (** pipelined SPMD execution ([Sf_distributed.Pipeline]): replace
-          the bulk-synchronous whole-halo barrier with per-plane bounded
-          channel sends sized by the [Pipeline_check] certifier.  Off by
-          default; only certified plans ever run pipelined *)
   pipe_budget : int;
       (** channel-memory budget in bytes for the pipeline certifier
           ([Pipeline_check.analyze ~budget_bytes]); certified depths over
@@ -99,10 +94,6 @@ val default_faults : string option
 
 val default_fusion : bool
 (** [SF_FUSION] from the environment ([1]/[true]/[yes]/[on]), else
-    false. *)
-
-val default_pipeline : bool
-(** [SF_PIPELINE] from the environment ([1]/[true]/[yes]/[on]), else
     false. *)
 
 val default_pipe_budget : int

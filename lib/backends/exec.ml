@@ -121,507 +121,431 @@ let run_rect_closure grids ~params (s : Stencil.t) rect =
   done
 
 (* ------------------------------------------------------------------- *)
-(* Polynomial fast path: the expression is a table of constant-coeff   *)
-(* monomials over grid reads.  Reads are grouped by (grid, scale); one  *)
-(* flat counter per group tracks Σ strideᵢ·scaleᵢ·xᵢ, and each read is  *)
-(* a constant delta off its group's counter.  All of this is computed   *)
-(* once per kernel invocation; running a tile costs index arithmetic    *)
-(* only — the strength-reduced inner loop the emitted C would have.     *)
+(* Polynomial fast path: a row evaluator.  Reads are grouped by (grid,  *)
+(* scale); one flat counter per group tracks Σ strideᵢ·scaleᵢ·xᵢ, and   *)
+(* each read is a constant delta off its group's counter.  The factored *)
+(* polynomial (Polyform.factorize) compiles, once per kernel            *)
+(* invocation, into passes that each fill a block of inner-axis rows:   *)
+(* floats stay in registers inside a pass and only cross a closure      *)
+(* boundary in a floatarray, so nothing is boxed per cell — the         *)
+(* strength-reduced loops the emitted C would have.                     *)
 (* ------------------------------------------------------------------- *)
 
-(* Arity-specialised inner evaluators for purely linear (degree-1)
-   stencils over grids that advance in lockstep: the common case (CC
-   Laplacian, Jacobi, boundaries, restriction) becomes an unrolled
-   multiply-add chain with the tap deltas resident in the closure —
-   the code shape the emitted C would compile to. *)
-let deg1_inner ~kconst ~(taps : (floatarray * int * float) array) =
-  let g = Float.Array.unsafe_get in
-  match taps with
-  | [| (a0, d0, w0) |] -> fun pos -> kconst +. (w0 *. g a0 (pos + d0))
-  | [| (a0, d0, w0); (a1, d1, w1) |] ->
-      fun pos -> kconst +. (w0 *. g a0 (pos + d0)) +. (w1 *. g a1 (pos + d1))
-  | [| (a0, d0, w0); (a1, d1, w1); (a2, d2, w2) |] ->
-      fun pos ->
-        kconst
-        +. (w0 *. g a0 (pos + d0))
-        +. (w1 *. g a1 (pos + d1))
-        +. (w2 *. g a2 (pos + d2))
-  | [| (a0, d0, w0); (a1, d1, w1); (a2, d2, w2); (a3, d3, w3) |] ->
-      fun pos ->
-        kconst
-        +. (w0 *. g a0 (pos + d0))
-        +. (w1 *. g a1 (pos + d1))
-        +. (w2 *. g a2 (pos + d2))
-        +. (w3 *. g a3 (pos + d3))
-  | [|
-   (a0, d0, w0); (a1, d1, w1); (a2, d2, w2); (a3, d3, w3); (a4, d4, w4);
-  |] ->
-      fun pos ->
-        kconst
-        +. (w0 *. g a0 (pos + d0))
-        +. (w1 *. g a1 (pos + d1))
-        +. (w2 *. g a2 (pos + d2))
-        +. (w3 *. g a3 (pos + d3))
-        +. (w4 *. g a4 (pos + d4))
-  | [|
-   (a0, d0, w0);
-   (a1, d1, w1);
-   (a2, d2, w2);
-   (a3, d3, w3);
-   (a4, d4, w4);
-   (a5, d5, w5);
-  |] ->
-      fun pos ->
-        kconst
-        +. (w0 *. g a0 (pos + d0))
-        +. (w1 *. g a1 (pos + d1))
-        +. (w2 *. g a2 (pos + d2))
-        +. (w3 *. g a3 (pos + d3))
-        +. (w4 *. g a4 (pos + d4))
-        +. (w5 *. g a5 (pos + d5))
-  | [|
-   (a0, d0, w0);
-   (a1, d1, w1);
-   (a2, d2, w2);
-   (a3, d3, w3);
-   (a4, d4, w4);
-   (a5, d5, w5);
-   (a6, d6, w6);
-  |] ->
-      fun pos ->
-        kconst
-        +. (w0 *. g a0 (pos + d0))
-        +. (w1 *. g a1 (pos + d1))
-        +. (w2 *. g a2 (pos + d2))
-        +. (w3 *. g a3 (pos + d3))
-        +. (w4 *. g a4 (pos + d4))
-        +. (w5 *. g a5 (pos + d5))
-        +. (w6 *. g a6 (pos + d6))
-  | [|
-   (a0, d0, w0);
-   (a1, d1, w1);
-   (a2, d2, w2);
-   (a3, d3, w3);
-   (a4, d4, w4);
-   (a5, d5, w5);
-   (a6, d6, w6);
-   (a7, d7, w7);
-  |] ->
-      fun pos ->
-        kconst
-        +. (w0 *. g a0 (pos + d0))
-        +. (w1 *. g a1 (pos + d1))
-        +. (w2 *. g a2 (pos + d2))
-        +. (w3 *. g a3 (pos + d3))
-        +. (w4 *. g a4 (pos + d4))
-        +. (w5 *. g a5 (pos + d5))
-        +. (w6 *. g a6 (pos + d6))
-        +. (w7 *. g a7 (pos + d7))
-  | taps ->
-      fun pos ->
-        let acc = ref kconst in
-        for m = 0 to Array.length taps - 1 do
-          let a, d, w = Array.unsafe_get taps m in
-          acc := !acc +. (w *. g a (pos + d))
-        done;
-        !acc
+(* The block a pass fills: [rows] consecutive inner-axis rows of [len]
+   cells, results stored row-major in the scratch rows.  A running tile
+   borrows one from its stencil's [prep.spare] and sets its geometry. *)
+type block = {
+  bufs : floatarray array;  (* a node at depth d accumulates in bufs.(d) *)
+  gpos : int array;  (* read group g's flat position at the first cell *)
+  ginc : int array;  (* its step to the next cell of a row *)
+  grow : int array;  (* and to the next row of the block *)
+  mutable rows : int;
+  mutable len : int;
+}
+
+type pass = block -> unit
+
+(* A read resolved against the grids: data array, group, constant delta. *)
+type tap = { a : floatarray; g : int; d : int }
+
+let get = Float.Array.unsafe_get
+let set = Float.Array.unsafe_set
+let[@inline] start b t r =
+  Array.unsafe_get b.gpos t.g + t.d + (r * Array.unsafe_get b.grow t.g)
+
+let[@inline] step b t = Array.unsafe_get b.ginc t.g
+
+(* Row kernels: cells [c0..c1] of one scratch row, each read position
+   [p] advancing by [i] per cell.  Every operand is an argument, so the
+   loop keeps all of them in registers; [x *. 1.] unboxes a float
+   argument once, outside the loop.  [init] starts each cell from [k] (the
+   node's constant) instead of the running sum. *)
+let lin2_row ~init dst c0 c1 k a0 p0 i0 w0 a1 p1 i1 w1 =
+  let k = k *. 1. and w0 = w0 *. 1. and w1 = w1 *. 1. in
+  let p0 = ref p0 and p1 = ref p1 in
+  for c = c0 to c1 do
+    let acc = if init then k else get dst c in
+    set dst c (acc +. (w0 *. get a0 !p0) +. (w1 *. get a1 !p1));
+    p0 := !p0 + i0;
+    p1 := !p1 + i1
+  done
+
+let lin1_row ~init dst c0 c1 k a0 p0 i0 w0 =
+  let k = k *. 1. and w0 = w0 *. 1. in
+  let p0 = ref p0 in
+  for c = c0 to c1 do
+    let acc = if init then k else get dst c in
+    set dst c (acc +. (w0 *. get a0 !p0));
+    p0 := !p0 + i0
+  done
+
+(* [dst += r · tmp] *)
+let factor_row dst tmp c0 c1 a p i =
+  let p = ref p in
+  for c = c0 to c1 do
+    set dst c (get dst c +. (get a !p *. get tmp c));
+    p := !p + i
+  done
+
+(* [dst += w·x·y], one quadratic monomial *)
+let quad_row dst c0 c1 w ax px ix ay py iy =
+  let w = w *. 1. in
+  let px = ref px and py = ref py in
+  for c = c0 to c1 do
+    set dst c (get dst c +. (w *. get ax !px *. get ay !py));
+    px := !px + ix;
+    py := !py + iy
+  done
+
+let quad2_row dst c0 c1 w0 ax0 px0 ix0 ay0 py0 iy0 w1 ax1 px1 ix1 ay1 py1 iy1 =
+  let w0 = w0 *. 1. and w1 = w1 *. 1. in
+  let px0 = ref px0 and py0 = ref py0 and px1 = ref px1 and py1 = ref py1 in
+  for c = c0 to c1 do
+    set dst c
+      (get dst c
+      +. (w0 *. get ax0 !px0 *. get ay0 !py0)
+      +. (w1 *. get ax1 !px1 *. get ay1 !py1));
+    px0 := !px0 + ix0;
+    py0 := !py0 + iy0;
+    px1 := !px1 + ix1;
+    py1 := !py1 + iy1
+  done
+
+(* [out[o], out[o + i], … = res[c0..c1]]: a finished row to the output *)
+let store_row out o i res c0 c1 =
+  let o = ref o in
+  for c = c0 to c1 do
+    set out !o (get res c);
+    o := !o + i
+  done
+
+(* Passes: one row kernel per row of the block.  Linear taps are fused
+   two per pass, as are residual quadratic monomials. *)
+let lin2 ~depth ~init k t0 w0 t1 w1 : pass =
+ fun b ->
+  let dst = Array.unsafe_get b.bufs depth and len = b.len in
+  for r = 0 to b.rows - 1 do
+    lin2_row ~init dst (r * len) (((r + 1) * len) - 1) k
+      t0.a (start b t0 r) (step b t0) w0 t1.a (start b t1 r) (step b t1) w1
+  done
+
+let lin1 ~depth ~init k t0 w0 : pass =
+ fun b ->
+  let dst = Array.unsafe_get b.bufs depth and len = b.len in
+  for r = 0 to b.rows - 1 do
+    lin1_row ~init dst (r * len) (((r + 1) * len) - 1) k
+      t0.a (start b t0 r) (step b t0) w0
+  done
+
+let fill ~depth k : pass =
+ fun b -> Float.Array.fill (Array.unsafe_get b.bufs depth) 0 (b.rows * b.len) k
+
+(* [dst += r · sub]: the sub-polynomial fills [bufs.(depth+1)] first. *)
+let factor ~depth t (sub : pass) : pass =
+ fun b ->
+  sub b;
+  let dst = Array.unsafe_get b.bufs depth and len = b.len in
+  let tmp = Array.unsafe_get b.bufs (depth + 1) in
+  for r = 0 to b.rows - 1 do
+    factor_row dst tmp (r * len) (((r + 1) * len) - 1) t.a (start b t r) (step b t)
+  done
+
+let quad ~depth (w, x, y) : pass =
+ fun b ->
+  let dst = Array.unsafe_get b.bufs depth and len = b.len in
+  for r = 0 to b.rows - 1 do
+    quad_row dst (r * len) (((r + 1) * len) - 1)
+      w x.a (start b x r) (step b x) y.a (start b y r) (step b y)
+  done
+
+let quad2 ~depth (w0, x0, y0) (w1, x1, y1) : pass =
+ fun b ->
+  let dst = Array.unsafe_get b.bufs depth and len = b.len in
+  for r = 0 to b.rows - 1 do
+    quad2_row dst (r * len) (((r + 1) * len) - 1)
+      w0 x0.a (start b x0 r) (step b x0) y0.a (start b y0 r) (step b y0)
+      w1 x1.a (start b x1 r) (step b x1) y1.a (start b y1 r) (step b y1)
+  done
+
+(* Any other residual monomial (degree 3-4; rare outside generated
+   programs): [dst += ((w·r₁)·r₂)…], positions recomputed per cell. *)
+let mono ~depth w (taps : tap array) : pass =
+ fun b ->
+  let dst = Array.unsafe_get b.bufs depth and len = b.len in
+  for r = 0 to b.rows - 1 do
+    for c = 0 to len - 1 do
+      let v = ref w in
+      for t = 0 to Array.length taps - 1 do
+        let tp = Array.unsafe_get taps t in
+        v := !v *. get tp.a (start b tp r + (c * step b tp))
+      done;
+      let o = (r * len) + c in
+      set dst o (get dst o +. !v)
+    done
+  done
+
+let seq (passes : pass list) : pass =
+  match passes with
+  | [ p ] -> p
+  | passes ->
+      let passes = Array.of_list passes in
+      fun b ->
+        for i = 0 to Array.length passes - 1 do
+          (Array.unsafe_get passes i) b
+        done
+
+(* Compile one factored node into a pass writing [bufs.(depth)],
+   returning it with the number of scratch rows the subtree needs.  The
+   per-cell association order is exactly {!Polyform.eval_factored}'s:
+   constant, linear taps left to right, factors, then residual monomials
+   one by one — so the executor is bitwise equal to that reference. *)
+let rec compile_node ~tap ~depth (f : Polyform.factored) : pass * int =
+  let k = f.Polyform.fconst in
+  let rec linear ~init = function
+    | [] -> if init then [ fill ~depth k ] else []
+    | [ (r0, w0) ] -> [ lin1 ~depth ~init k (tap r0) w0 ]
+    | (r0, w0) :: (r1, w1) :: rest ->
+        lin2 ~depth ~init k (tap r0) w0 (tap r1) w1 :: linear ~init:false rest
+  in
+  let factors, need =
+    List.fold_left
+      (fun (acc, need) (r, sub) ->
+        let sub, n = compile_node ~tap ~depth:(depth + 1) sub in
+        (factor ~depth (tap r) sub :: acc, max need (n + 1)))
+      ([], 1) f.Polyform.ffactors
+  in
+  let quadratic (m : Polyform.mono) =
+    match m.Polyform.reads with
+    | [ x; y ] -> Some (m.Polyform.coeff, tap x, tap y)
+    | _ -> None
+  in
+  let rec residual = function
+    | [] -> []
+    | (_, Some q0) :: (_, Some q1) :: rest -> quad2 ~depth q0 q1 :: residual rest
+    | (_, Some q) :: rest -> quad ~depth q :: residual rest
+    | ((m : Polyform.mono), None) :: rest ->
+        mono ~depth m.Polyform.coeff (Array.of_list (List.map tap m.Polyform.reads))
+        :: residual rest
+  in
+  ( seq
+      (linear ~init:true f.Polyform.flinear
+      @ List.rev factors
+      @ residual (List.map (fun m -> (m, quadratic m)) f.Polyform.fresidual)),
+    need )
 
 type prep = {
-  gmeta : (floatarray * int array (* mesh strides *) * int array (* scale *)) array;
-  gdata : floatarray array;
-  n1 : int;
-  c1 : float array;
-  i1 : int array;
-  n2 : int;
-  c2 : float array;
-  i2 : int array;
-  n3 : int;
-  c3 : float array;
-  i3 : int array;
-  n4 : int;
-  c4 : float array;
-  i4 : int array;
-  kconst : float;
+  gmeta : (int array (* mesh strides *) * int array (* scale *)) array;
+  root : pass;
+  depth : int;  (* scratch rows per block *)
+  out_reads : (int * int) list;
+      (* (group, delta) of every read whose data array is physically the
+         output's: the in-place read-after-write hazards *)
   out_data : floatarray;
   out_strides : int array;
   out_map : Affine.t;
-  uniform : bool;
-      (* every group advances in lockstep (equal stride·scale), so a single
-         position counter serves all reads and [eval_uniform] applies *)
-  eval_uniform : int -> float;
+  spare : block Atomic.t;
+      (* the block left by the last finished tile, or [no_block]: tiles of
+         one stencil share scratch instead of each owning a copy *)
 }
 
-(* Unshared higher-degree monomials, evaluated directly from parallel
-   (unboxed) tables: one loop per monomial degree. *)
-let residual_inner ~tap_of (monos : Polyform.mono list) =
-  let by_degree d =
-    List.filter
-      (fun (m : Polyform.mono) -> List.length m.Polyform.reads = d)
-      monos
-  in
-  let table d =
-    let ms = by_degree d in
-    let count = List.length ms in
-    let w = Array.make (max count 1) 0. in
-    let arrs = Array.make (max (count * d) 1) (Float.Array.create 0) in
-    let deltas = Array.make (max (count * d) 1) 0 in
-    List.iteri
-      (fun i (m : Polyform.mono) ->
-        w.(i) <- m.Polyform.coeff;
-        List.iteri
-          (fun t r ->
-            let a, delta = tap_of r in
-            arrs.((i * d) + t) <- a;
-            deltas.((i * d) + t) <- delta)
-          m.Polyform.reads)
-      ms;
-    (count, w, arrs, deltas)
-  in
-  let n2, w2, a2, d2 = table 2 in
-  let n3, w3, a3, d3 = table 3 in
-  let n4, w4, a4, d4 = table 4 in
-  let g = Float.Array.unsafe_get in
-  fun pos ->
-    let acc = ref 0. in
-    for m = 0 to n2 - 1 do
-      let b = m * 2 in
-      acc :=
-        !acc
-        +. Array.unsafe_get w2 m
-           *. g (Array.unsafe_get a2 b) (pos + Array.unsafe_get d2 b)
-           *. g
-                (Array.unsafe_get a2 (b + 1))
-                (pos + Array.unsafe_get d2 (b + 1))
-    done;
-    for m = 0 to n3 - 1 do
-      let b = m * 3 in
-      acc :=
-        !acc
-        +. Array.unsafe_get w3 m
-           *. g (Array.unsafe_get a3 b) (pos + Array.unsafe_get d3 b)
-           *. g
-                (Array.unsafe_get a3 (b + 1))
-                (pos + Array.unsafe_get d3 (b + 1))
-           *. g
-                (Array.unsafe_get a3 (b + 2))
-                (pos + Array.unsafe_get d3 (b + 2))
-    done;
-    for m = 0 to n4 - 1 do
-      let b = m * 4 in
-      acc :=
-        !acc
-        +. Array.unsafe_get w4 m
-           *. g (Array.unsafe_get a4 b) (pos + Array.unsafe_get d4 b)
-           *. g
-                (Array.unsafe_get a4 (b + 1))
-                (pos + Array.unsafe_get d4 (b + 1))
-           *. g
-                (Array.unsafe_get a4 (b + 2))
-                (pos + Array.unsafe_get d4 (b + 2))
-           *. g
-                (Array.unsafe_get a4 (b + 3))
-                (pos + Array.unsafe_get d4 (b + 3))
-    done;
-    !acc
-
-(* Compile a factored polynomial (Polyform.factorize) into a direct
-   evaluator over a single shared position counter.  Only valid when every
-   read group advances in lockstep. *)
-let rec compile_factored ~tap_of (f : Polyform.factored) =
-  let taps =
-    Array.of_list
-      (List.map
-         (fun (r, w) ->
-           let a, d = tap_of r in
-           (a, d, w))
-         f.Polyform.flinear)
-  in
-  let lin = deg1_inner ~kconst:f.Polyform.fconst ~taps in
-  match (f.Polyform.ffactors, f.Polyform.fresidual) with
-  | [], [] -> lin
-  | factors, residual ->
-      let subs =
-        Array.of_list
-          (List.map
-             (fun (r, sub) ->
-               let a, d = tap_of r in
-               (a, d, compile_factored ~tap_of sub))
-             factors)
-      in
-      let res =
-        match residual with
-        | [] -> None
-        | monos -> Some (residual_inner ~tap_of monos)
-      in
-      fun pos ->
-        let acc = ref (lin pos) in
-        for i = 0 to Array.length subs - 1 do
-          let a, d, sub = Array.unsafe_get subs i in
-          acc := !acc +. (Float.Array.unsafe_get a (pos + d) *. sub pos)
-        done;
-        (match res with Some r -> acc := !acc +. r pos | None -> ());
-        !acc
+let no_block = { bufs = [||]; gpos = [||]; ginc = [||]; grow = [||]; rows = 0; len = 0 }
 
 let prepare_poly grids (s : Stencil.t) (poly : Polyform.t) =
   let groups = ref [] in
   let group_index (g, (m : Affine.t)) =
     let key = (g, Ivec.to_list m.Affine.scale) in
-    match List.find_opt (fun (k, _) -> k = key) !groups with
-    | Some (_, idx) -> idx
+    match List.assoc_opt key !groups with
+    | Some idx -> idx
     | None ->
         let idx = List.length !groups in
         groups := (key, idx) :: !groups;
         idx
   in
-  let read_delta (g, (m : Affine.t)) =
-    Ivec.dot (Mesh.strides (Grids.find grids g)) m.Affine.offset
+  let out_mesh = Grids.find grids s.Stencil.output in
+  let out_data = Mesh.data out_mesh in
+  let out_reads = ref [] in
+  let tap ((g, (m : Affine.t)) as r) =
+    let mesh = Grids.find grids g in
+    let t =
+      { a = Mesh.data mesh; g = group_index r;
+        d = Ivec.dot (Mesh.strides mesh) m.Affine.offset }
+    in
+    if t.a == out_data then out_reads := (t.g, t.d) :: !out_reads;
+    t
   in
-  let tables = Array.make (Polyform.max_degree + 1) [] in
-  List.iter
-    (fun (m : Polyform.mono) ->
-      let d = List.length m.Polyform.reads in
-      let entry =
-        ( m.Polyform.coeff,
-          List.map (fun r -> (group_index r, read_delta r)) m.Polyform.reads )
-      in
-      tables.(d) <- entry :: tables.(d))
-    poly.Polyform.monos;
-  let mk_table d =
-    let entries = List.rev tables.(d) in
-    let count = List.length entries in
-    let coeffs = Array.make (max count 1) 0. in
-    let idx = Array.make (max (count * 2 * d) 1) 0 in
-    List.iteri
-      (fun i (c, reads) ->
-        coeffs.(i) <- c;
-        List.iteri
-          (fun t (g, delta) ->
-            idx.((i * 2 * d) + (2 * t)) <- g;
-            idx.((i * 2 * d) + (2 * t) + 1) <- delta)
-          reads)
-      entries;
-    (count, coeffs, idx)
-  in
-  let n1, c1, i1 = mk_table 1 in
-  let n2, c2, i2 = mk_table 2 in
-  let n3, c3, i3 = mk_table 3 in
-  let n4, c4, i4 = mk_table 4 in
-  let ngroups = List.length !groups in
-  (* exactly [ngroups] entries: a zero-read (constant) stencil must yield
-     an empty group table, not a dummy entry *)
-  let gmeta =
-    Array.init ngroups (fun _ -> (Float.Array.create 0, ([||] : int array), ([||] : int array)))
-  in
+  let root, depth = compile_node ~tap ~depth:0 (Polyform.factorize poly) in
+  (* exactly one entry per group: a zero-read (constant) stencil has an
+     empty group table *)
+  let gmeta = Array.make (List.length !groups) ([||], [||]) in
   List.iter
     (fun ((g, scale), idx) ->
-      let mesh = Grids.find grids g in
-      gmeta.(idx) <-
-        (Mesh.data mesh, Mesh.strides mesh, Array.of_list scale))
+      gmeta.(idx) <- (Mesh.strides (Grids.find grids g), Array.of_list scale))
     !groups;
-  let out_mesh = Grids.find grids s.Stencil.output in
-  (* lockstep check: equal stride·scale vectors across all groups means the
-     group counters would always coincide — use one shared counter and the
-     factored evaluator *)
-  let stride_scale (_, strides, scale) =
-    Array.init (Array.length strides) (fun i -> strides.(i) * scale.(i))
-  in
-  let uniform =
-    ngroups = 0
-    ||
-    let ref_vec = stride_scale gmeta.(0) in
-    Array.for_all (fun gm -> Ivec.equal (stride_scale gm) ref_vec) gmeta
-  in
-  let eval_uniform =
-    if uniform then begin
-      let tap_of (g, (m : Affine.t)) =
-        let mesh = Grids.find grids g in
-        (Mesh.data mesh, Ivec.dot (Mesh.strides mesh) m.Affine.offset)
-      in
-      compile_factored ~tap_of (Polyform.factorize poly)
-    end
-    else fun _ -> nan
-  in
-  {
-    gmeta;
-    gdata = Array.map (fun (d, _, _) -> d) gmeta;
-    uniform;
-    eval_uniform;
-    n1;
-    c1;
-    i1;
-    n2;
-    c2;
-    i2;
-    n3;
-    c3;
-    i3;
-    n4;
-    c4;
-    i4;
-    kconst = poly.Polyform.const;
-    out_data = Mesh.data out_mesh;
-    out_strides = Mesh.strides out_mesh;
-    out_map = s.Stencil.out_map;
-  }
+  { gmeta; root; depth; out_reads = !out_reads; out_data;
+    out_strides = Mesh.strides out_mesh; out_map = s.Stencil.out_map;
+    spare = Atomic.make no_block }
+
+(* Take the spare block if its scratch rows hold [size] cells, else make
+   one; under concurrent tiles the loser of the race makes its own. *)
+let take_block prep ~size =
+  let b = Atomic.exchange prep.spare no_block in
+  if b != no_block && Float.Array.length b.bufs.(0) >= size then b
+  else
+    let ngroups = Array.length prep.gmeta in
+    { bufs = Array.init prep.depth (fun _ -> Float.Array.create size);
+      gpos = Array.make ngroups 0; ginc = Array.make ngroups 0;
+      grow = Array.make ngroups 0; rows = 0; len = 0 }
+
+(* Most cells evaluated before any of them is stored. *)
+let max_block = 128
+
+(* Block shape (rows, cells per row) for one tile.  A block reads all its
+   inputs before it stores, so an in-place read that lands on a cell the
+   same block writes earlier (dr rows and dc cells back) must not share a
+   block with it: it limits blocks to dr rows, or to dc cells when dr = 0.
+   An in-place read group that does not advance in lockstep with the
+   output gets single cells — exactly sequential semantics.  Stride-2
+   colourings (GSRB) never read a cell their own sweep writes and keep
+   full blocks. *)
+let block_shape prep ~gbase ~ginc ~out_base ~out_inc ~nrows ~ncells =
+  let n = Array.length out_inc in
+  let ci = out_inc.(n - 1) and ri = if n > 1 then out_inc.(n - 2) else 0 in
+  let diffs = List.map (fun (g, d) -> gbase.(g) + d - out_base) prep.out_reads in
+  if not (List.for_all (fun (g, _) -> Ivec.equal ginc.(g) out_inc) prep.out_reads)
+  then (1, 1)
+  else
+    (* same row: the target is dc = -diff/ci cells back (ci > 0: output
+       scales and lattice strides are positive) *)
+    let cells =
+      List.fold_left
+        (fun cells diff ->
+          if diff mod ci = 0 && -diff / ci >= 1 then min cells (-diff / ci)
+          else cells)
+        (max 1 (min ncells max_block))
+        diffs
+    in
+    (* dr rows back: some dc with |dc| < cells and diff = -(dr·ri + dc·ci) *)
+    let hits diff dr =
+      let rem = -diff - (dr * ri) in
+      rem mod ci = 0 && abs (rem / ci) < cells
+    in
+    let rows =
+      if cells < ncells then 1
+      else
+        List.fold_left
+          (fun rows diff ->
+            let rec first dr =
+              if dr >= rows then rows else if hits diff dr then dr else first (dr + 1)
+            in
+            first 1)
+          (max 1 (min nrows (max_block / ncells)))
+          diffs
+    in
+    (rows, cells)
 
 (* Instantiate one tile of a prepared polynomial stencil: all geometry is
    computed here, once; the returned thunk only runs the loops.  The thunk
-   owns its odometer buffers, so distinct tiles may run concurrently while
-   one tile's thunk is reused across kernel invocations for free. *)
+   owns its counters and borrows scratch for the duration of a run, so
+   distinct tiles may run concurrently while one tile's thunk is reused
+   across kernel invocations for free. *)
 let instantiate_poly prep rect =
   let cnt = Domain.counts rect in
   let n = Ivec.dims cnt in
   let ngroups = Array.length prep.gmeta in
-  let gdata = prep.gdata in
-  (* per-tile geometry: group bases and per-axis increments *)
-  let gbase = Array.make ngroups 0 in
-  let ginc = Array.make_matrix ngroups n 0 in
-  Array.iteri
-    (fun g (_, strides, scale) ->
-      let b = ref 0 in
-      for i = 0 to n - 1 do
-        b := !b + (strides.(i) * scale.(i) * rect.Domain.rlo.(i));
-        ginc.(g).(i) <- strides.(i) * scale.(i) * rect.Domain.rstride.(i)
-      done;
-      gbase.(g) <- !b)
-    prep.gmeta;
-  let out_origin = Affine.apply prep.out_map rect.Domain.rlo in
-  let out_base = Ivec.dot prep.out_strides out_origin in
+  let ginc =
+    Array.map
+      (fun (strides, scale) ->
+        Array.init n (fun i -> strides.(i) * scale.(i) * rect.Domain.rstride.(i)))
+      prep.gmeta
+  in
+  let gbase =
+    Array.map
+      (fun (strides, scale) ->
+        let b = ref 0 in
+        for i = 0 to n - 1 do
+          b := !b + (strides.(i) * scale.(i) * rect.Domain.rlo.(i))
+        done;
+        !b)
+      prep.gmeta
+  in
+  let out_base = Ivec.dot prep.out_strides (Affine.apply prep.out_map rect.Domain.rlo) in
   let out_inc =
     Array.init n (fun i ->
-        prep.out_strides.(i)
-        * prep.out_map.Affine.scale.(i)
+        prep.out_strides.(i) * prep.out_map.Affine.scale.(i)
         * rect.Domain.rstride.(i))
   in
+  (* axes: [0, mid) are walked one plane at a time, [mid] row by row in
+     blocks, [n-1] is the inner axis (1-D: a single row) *)
   let inner = n - 1 in
-  let inner_cnt = cnt.(inner) in
-  let ginc_inner = Array.init ngroups (fun g -> ginc.(g).(inner)) in
-  let out_inner_inc = out_inc.(inner) in
-  let { n1; c1; i1; n2; c2; i2; n3; c3; i3; n4; c4; i4; kconst; out_data; _ }
-      =
-    prep
+  let mid = max 0 (n - 2) in
+  let ncells = cnt.(inner) and nrows = if n > 1 then cnt.(mid) else 1 in
+  let along axis inc = if n > 1 then inc.(axis) else 0 in
+  let rows, cells =
+    block_shape prep ~gbase ~ginc ~out_base ~out_inc ~nrows ~ncells
   in
-  let uniform = prep.uniform in
-  let outer_total = ref 1 in
-  for i = 0 to inner - 1 do
-    outer_total := !outer_total * cnt.(i)
+  let pbase = Array.make ngroups 0 in
+  let oinc = out_inc.(inner) and orow = along mid out_inc in
+  let root = prep.root and out_data = prep.out_data in
+  let planes = ref 1 in
+  for i = 0 to mid - 1 do
+    planes := !planes * cnt.(i)
   done;
-  let outer_total = !outer_total in
-  let oidx = Array.make (max inner 1) 0 in
-  let bump () =
-    let rec go i =
-      if i >= 0 then begin
-        oidx.(i) <- oidx.(i) + 1;
-        if oidx.(i) >= cnt.(i) then begin
-          oidx.(i) <- 0;
-          go (i - 1)
-        end
+  let planes = !planes in
+  let oidx = Array.make (max mid 1) 0 in
+  let rec bump i =
+    if i >= 0 then begin
+      oidx.(i) <- oidx.(i) + 1;
+      if oidx.(i) >= cnt.(i) then begin
+        oidx.(i) <- 0;
+        bump (i - 1)
       end
-    in
-    go (inner - 1)
+    end
   in
-  if uniform then begin
-    (* single shared counter; degree-1-only polynomials additionally get an
-       unrolled arity-specialised evaluator *)
-    let inc0 = if ngroups = 0 then out_inc else ginc.(0) in
-    let base0 = if ngroups = 0 then out_base else gbase.(0) in
-    let inc0_inner = if ngroups = 0 then out_inner_inc else ginc_inner.(0) in
-    let eval = prep.eval_uniform in
-    fun () ->
-    Array.fill oidx 0 (Array.length oidx) 0;
-    for _row = 0 to outer_total - 1 do
-      let pos = ref base0 and out_flat = ref out_base in
-      for i = 0 to inner - 1 do
-        pos := !pos + (oidx.(i) * inc0.(i));
-        out_flat := !out_flat + (oidx.(i) * out_inc.(i))
-      done;
-      for _c = 0 to inner_cnt - 1 do
-        Float.Array.unsafe_set out_data !out_flat (eval !pos);
-        pos := !pos + inc0_inner;
-        out_flat := !out_flat + out_inner_inc
-      done;
-      bump ()
-    done
-  end
-  else begin
-    let gpos = Array.make (max ngroups 1) 0 in
-    let rd g d =
-      Float.Array.unsafe_get
-        (Array.unsafe_get gdata g)
-        (Array.unsafe_get gpos g + d)
-    in
-    fun () ->
-    Array.fill oidx 0 (Array.length oidx) 0;
-    for _row = 0 to outer_total - 1 do
+  fun () ->
+    let b = take_block prep ~size:(rows * cells) in
+    let res = b.bufs.(0) in
+    for g = 0 to ngroups - 1 do
+      b.ginc.(g) <- ginc.(g).(inner);
+      b.grow.(g) <- along mid ginc.(g)
+    done;
+    for i = 0 to Array.length oidx - 1 do
+      oidx.(i) <- 0
+    done;
+    for _plane = 0 to planes - 1 do
       for g = 0 to ngroups - 1 do
-        let flat = ref gbase.(g) in
-        let inc = ginc.(g) in
-        for i = 0 to inner - 1 do
+        let flat = ref gbase.(g) and inc = ginc.(g) in
+        for i = 0 to mid - 1 do
           flat := !flat + (oidx.(i) * inc.(i))
         done;
-        gpos.(g) <- !flat
+        pbase.(g) <- !flat
       done;
-      let out_flat = ref out_base in
-      for i = 0 to inner - 1 do
-        out_flat := !out_flat + (oidx.(i) * out_inc.(i))
+      let oplane = ref out_base in
+      for i = 0 to mid - 1 do
+        oplane := !oplane + (oidx.(i) * out_inc.(i))
       done;
-      for _c = 0 to inner_cnt - 1 do
-        let acc = ref kconst in
-        for m = 0 to n1 - 1 do
-          let b = m * 2 in
-          acc :=
-            !acc
-            +. (Array.unsafe_get c1 m
-               *. rd (Array.unsafe_get i1 b) (Array.unsafe_get i1 (b + 1)))
+      let r0 = ref 0 in
+      while !r0 < nrows do
+        b.rows <- min rows (nrows - !r0);
+        let c0 = ref 0 in
+        while !c0 < ncells do
+          let len = min cells (ncells - !c0) in
+          b.len <- len;
+          for g = 0 to ngroups - 1 do
+            Array.unsafe_set b.gpos g (pbase.(g) + (!r0 * b.grow.(g)) + (!c0 * b.ginc.(g)))
+          done;
+          root b;
+          for r = 0 to b.rows - 1 do
+            store_row out_data
+              (!oplane + ((!r0 + r) * orow) + (!c0 * oinc))
+              oinc res (r * len) (((r + 1) * len) - 1)
+          done;
+          c0 := !c0 + len
         done;
-        for m = 0 to n2 - 1 do
-          let b = m * 4 in
-          acc :=
-            !acc
-            +. Array.unsafe_get c2 m
-               *. rd (Array.unsafe_get i2 b) (Array.unsafe_get i2 (b + 1))
-               *. rd
-                    (Array.unsafe_get i2 (b + 2))
-                    (Array.unsafe_get i2 (b + 3))
-        done;
-        for m = 0 to n3 - 1 do
-          let b = m * 6 in
-          acc :=
-            !acc
-            +. Array.unsafe_get c3 m
-               *. rd (Array.unsafe_get i3 b) (Array.unsafe_get i3 (b + 1))
-               *. rd
-                    (Array.unsafe_get i3 (b + 2))
-                    (Array.unsafe_get i3 (b + 3))
-               *. rd
-                    (Array.unsafe_get i3 (b + 4))
-                    (Array.unsafe_get i3 (b + 5))
-        done;
-        for m = 0 to n4 - 1 do
-          let b = m * 8 in
-          acc :=
-            !acc
-            +. Array.unsafe_get c4 m
-               *. rd (Array.unsafe_get i4 b) (Array.unsafe_get i4 (b + 1))
-               *. rd
-                    (Array.unsafe_get i4 (b + 2))
-                    (Array.unsafe_get i4 (b + 3))
-               *. rd
-                    (Array.unsafe_get i4 (b + 4))
-                    (Array.unsafe_get i4 (b + 5))
-               *. rd
-                    (Array.unsafe_get i4 (b + 6))
-                    (Array.unsafe_get i4 (b + 7))
-        done;
-        Float.Array.unsafe_set out_data !out_flat !acc;
-        out_flat := !out_flat + out_inner_inc;
-        for g = 0 to ngroups - 1 do
-          gpos.(g) <- gpos.(g) + Array.unsafe_get ginc_inner g
-        done
+        r0 := !r0 + b.rows
       done;
-      bump ()
-    done
-  end
+      bump (mid - 1)
+    done;
+    Atomic.set prep.spare b
 
 let nop () = ()
 

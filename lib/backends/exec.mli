@@ -10,16 +10,30 @@
 
     - {!run_rect_interp} walks the expression AST at every point with
       bounds-checked mesh access — slow, obviously correct, the oracle.
-    - the compiled path plays the role of the generated C: per-grid flat
-      indices are strength-reduced to incremental adds, polynomial
-      expressions become unrolled monomial-table loops, and the inner loop
-      performs unchecked reads/writes (legality is established beforehand
-      by {!Sf_analysis.Footprint.check_in_bounds}).
+    - the compiled path plays the role of the generated C.  The
+      expression's factored polynomial ({!Polyform.factorize}) compiles,
+      once per invocation, into a row evaluator: one loop pass per pair of
+      linear taps, per factor ([dst += r · sub]) and per pair of residual
+      monomials, each filling a block of inner-axis rows into a scratch
+      floatarray.  Per-read-group flat positions are strength-reduced to
+      incremental adds, floats never cross a closure boundary boxed, and
+      the loops perform unchecked reads/writes (legality is established
+      beforehand by {!Sf_analysis.Footprint.check_in_bounds}).  Per cell
+      the arithmetic is associated exactly as {!Polyform.eval_factored}
+      does it, so the two agree bit for bit.
 
     Execution order within a rect is row-major over the lattice; in-place
     stencils therefore see earlier writes of the same sweep, which is the
-    DSL's sequential semantics.  Backends only reorder or parallelise when
-    the analysis proves it unobservable. *)
+    DSL's sequential semantics.  The row evaluator keeps it by sizing its
+    blocks per tile: a block reads everything before it stores, so a read
+    of the output mesh (found by physical identity, whatever name it is
+    bound under) that lands on a cell written k cells earlier in the same
+    row limits blocks to k cells, one landing d rows back limits them to d
+    rows, and an in-place read group that does not advance in lockstep
+    with the output gets single cells.  Stride-2 colourings (GSRB) keep
+    full blocks; a lexicographic in-place sweep runs cell by cell.
+    Backends only reorder or parallelise when the analysis proves it
+    unobservable. *)
 
 open Sf_mesh
 open Snowflake

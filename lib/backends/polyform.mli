@@ -4,10 +4,12 @@
     polynomials over grid reads once scalar parameters are substituted:
     the CC Laplacian is linear, a variable-coefficient GSRB update is
     cubic (dinv · β · u terms).  The compiled backend normalises the
-    expression tree into [const + Σ coeff · r₁(·r₂(·r₃))] and executes the
-    monomial table with tight index arithmetic, replacing the closure-tree
-    walk — the same strength reduction the paper's micro-compiler gets by
-    emitting straight-line C.
+    expression tree into [const + Σ coeff · r₁(·r₂(·r₃))], factors it
+    ({!factorize}) and runs the factored form as a row evaluator
+    ([Exec]): one tight loop pass per pair of terms over a whole block of
+    cells, replacing the per-cell closure-tree walk — the same strength
+    reduction the paper's micro-compiler gets by emitting straight-line
+    C.
 
     Normalisation reassociates floating-point arithmetic, so results may
     differ from the reference interpreter by rounding (≲ 1e-12
@@ -63,4 +65,7 @@ val factorize : t -> factored
 
 val eval_factored : factored -> read_value:(read -> float) -> float
 (** Reference evaluation of the factored form (tested ≡ {!eval} up to
-    rounding). *)
+    rounding).  Association order per cell: [fconst], linear taps left to
+    right, factors, then residual monomials one by one, each
+    [((coeff·r₁)·r₂)…] — the order the compiled executor keeps, so it is
+    bitwise equal to this function. *)

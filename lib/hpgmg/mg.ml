@@ -29,7 +29,6 @@ let default_config =
 type t = {
   levels : Level.t array;
   config : config;
-  timers : (string, float ref) Hashtbl.t;
   mutable active_backend : Jit.backend;
       (* starts at config.backend; demoted down the failover chain by
          [solve_resilient] when a backend keeps failing *)
@@ -43,10 +42,10 @@ let dof t = Level.dof (finest t)
 
 module Trace = Sf_trace.Trace
 
-(* Wall-time accounting per (operation, level) — the HPGMG breakdown.
-   Exception-safe: a raising [f] still books the time it spent (a partial
-   bottom solve that dies must not vanish from the profile).  With tracing
-   on, each sample is also recorded as a [phase] span. *)
+(* Phase spans per (operation, level) — the HPGMG breakdown, recorded
+   when tracing is on.  Exception-safe: a raising [f] still records the
+   time it spent (a partial bottom solve that dies must not vanish from
+   the profile). *)
 let timed t key f =
   (* the "mg" fault site: a Raise/Transient aborts the phase before it
      runs (the V-cycle unwinds to solve_resilient's rollback); poison
@@ -56,16 +55,7 @@ let timed t key f =
   let fault =
     if Fault.armed () then Fault.fire ~site:"mg" ~detail:key else None
   in
-  let t0_us = Trace.now_us () in
-  Fun.protect
-    ~finally:(fun () ->
-      let dur_us = Trace.now_us () -. t0_us in
-      let dt = dur_us *. 1e-6 in
-      (match Hashtbl.find_opt t.timers key with
-      | Some r -> r := !r +. dt
-      | None -> Hashtbl.replace t.timers key (ref dt));
-      if Trace.on () then Trace.record_span Trace.Phase key ~ts_us:t0_us ~dur_us)
-    f;
+  Trace.span Trace.Phase key f;
   match fault with
   | Some Fault.Nan_poison | Some Fault.Inf_poison ->
       let u = Level.u t.levels.(0) in
@@ -77,12 +67,6 @@ let timed t key f =
          stencils would immediately rewrite *)
       Mesh.set u (Array.map (fun n -> n / 2) (Mesh.shape u)) v
   | _ -> ()
-
-let profile t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.timers []
-  |> List.sort (fun (_, a) (_, b) -> Float.compare b a)
-
-let reset_profile t = Hashtbl.reset t.timers
 
 (* Stencil groups reused across levels; resolution against each level's
    shape happens at JIT time, so one definition serves the whole
@@ -146,7 +130,6 @@ let create ?(config = default_config) ~n () =
     {
       levels;
       config;
-      timers = Hashtbl.create 32;
       active_backend = config.backend;
     }
   in

@@ -33,8 +33,6 @@ val default_config : config
 type t = private {
   levels : Level.t array;
   config : config;
-  timers : (string, float ref) Hashtbl.t;
-      (** per-operation, per-level wall time, keyed e.g. ["smooth L0"] *)
   mutable active_backend : Jit.backend;
       (** the backend kernels currently compile against — starts at
           [config.backend], demoted down [Supervise.chain] by
@@ -129,16 +127,9 @@ val dof : t -> int
 (** Unknowns on the finest level. *)
 
 val timed : t -> string -> (unit -> unit) -> unit
-(** [timed t key f] runs [f] and adds its wall time to [t]'s profile under
-    [key].  Exception-safe: if [f] raises, the elapsed time is still booked
-    before the exception propagates.  With tracing on
-    ({!Sf_trace.Trace.on}), each sample is also recorded as a [phase]
-    span. *)
-
-val profile : t -> (string * float) list
-(** Accumulated wall time per (operation, level), sorted descending —
-    HPGMG's characteristic timing breakdown.  Keys: ["smooth L<i>"],
-    ["residual L<i>"], ["restrict L<i>->L<i+1>"], ["interp L<i+1>->L<i>"],
-    ["bottom L<i>"]. *)
-
-val reset_profile : t -> unit
+(** [timed t key f] runs [f] as one solver phase: with tracing on
+    ({!Sf_trace.Trace.on}) it is recorded as a [phase] span named [key],
+    even if [f] raises (the exception then propagates).  Keys:
+    ["smooth L<i>"], ["residual L<i>"], ["restrict L<i>->L<i+1>"],
+    ["interp L<i+1>->L<i>"], ["bottom L<i>"] — HPGMG's characteristic
+    timing breakdown.  [timed] is also the ["mg"] fault-injection site. *)

@@ -5,8 +5,8 @@
     count, total time and — for kernel spans, which carry analytic
     cells/flops/bytes annotations — arithmetic intensity, achieved
     bandwidth, and the achieved fraction of the STREAM-predicted roofline
-    peak.  This replaces the ad-hoc [Hashtbl] breakdown [Mg.profile] used
-    to print. *)
+    peak.  The solver's per-phase breakdown ([Mg.timed] spans) is read
+    from here too. *)
 
 val summary_table : ?machine:Sf_roofline.Machine.t -> unit -> string
 (** Render the aggregated spans ({!Trace.summary}) as a fixed-width

@@ -76,7 +76,7 @@ val record_span :
   ?args:(string * arg) list -> kind -> string -> ts_us:float ->
   dur_us:float -> unit
 (** Record an externally timed span (callers that already hold a start
-    time, e.g. [Mg.timed]).  No-op when tracing is disabled.
+    time, e.g. [Sf_harness.Timer]).  No-op when tracing is disabled.
 
     Kernel spans carrying a [bytes] argument additionally get a
     [pct_roofline_peak] argument when a machine bandwidth has been

@@ -637,6 +637,158 @@ let test_closure_fallback_division () =
   in
   assert_all_backends_agree ~shape (Group.make ~label:"recip" [ s ])
 
+(* ------------------------------------------------------- row evaluator *)
+
+(* In-place 1-D sweeps where evaluating a row block before storing it
+   would be observable: each must match the interp oracle's sequential
+   semantics on the compiled and openmp executors. *)
+let assert_sweep_matches_interp ~name ~shape ~mk_grids stencil =
+  let group = Group.make ~label:name [ stencil ] in
+  let run backend =
+    let grids = mk_grids () in
+    (Jit.compile backend ~shape group).Kernel.run grids;
+    Mesh.data (Grids.find grids stencil.Stencil.output)
+  in
+  let reference = run Jit.Interp in
+  List.iter
+    (fun backend ->
+      match Fcmp.first_mismatch ~ulps:256 ~atol:1e-12 reference (run backend) with
+      | None -> ()
+      | Some (i, expect, got) ->
+          Alcotest.failf "%s: %s differs from interp at %d: %.17g vs %.17g" name
+            (Jit.backend_name backend) i expect got)
+    [ Jit.Compiled; Jit.Openmp ]
+
+let sweep_1d ~name ~ghost ?(domain = Domain.interior 1 ~ghost) expr =
+  let shape = iv [ 40 ] in
+  assert_sweep_matches_interp ~name ~shape
+    ~mk_grids:(fun () -> Grids.of_list [ ("u", Mesh.random ~seed:9 shape) ])
+    (Stencil.make ~label:name ~output:"u" ~expr ~domain ())
+
+let test_row_lexicographic_sweep () =
+  (* u[i] reads u[i-1], written one cell earlier: blocks of one cell *)
+  sweep_1d ~name:"lex1" ~ghost:1
+    Expr.(
+      (const 0.5 *: read "u" (iv [ -1 ]))
+      +: (const 0.25 *: read "u" (iv [ 1 ]))
+      +: const 1.)
+
+let test_row_distance_three_sweep () =
+  (* u[i-3] was written three cells earlier: blocks of at most three *)
+  sweep_1d ~name:"lex3" ~ghost:3
+    Expr.(
+      (const 0.75 *: read "u" (iv [ -3 ]))
+      +: (read "u" (iv [ 0 ]) *: read "u" (iv [ 2 ]))
+      -: const 0.5)
+
+let test_row_colored_sweep () =
+  (* stride-2 colouring: u[i±1] are never written by the same sweep *)
+  sweep_1d ~name:"red" ~ghost:1
+    ~domain:(Domain.colored 1 ~ghost:1 ~color:0 ~ncolors:2)
+    Expr.(
+      read "u" (iv [ 0 ])
+      +: (const 0.3 *: (read "u" (iv [ -1 ]) +: read "u" (iv [ 1 ]))))
+
+let test_row_previous_row_sweep () =
+  (* u[i-1][j] was written one row earlier: blocks of several rows must
+     stop short of it *)
+  let shape = iv [ 12; 12 ] in
+  assert_sweep_matches_interp ~name:"rowup" ~shape
+    ~mk_grids:(fun () -> Grids.of_list [ ("u", Mesh.random ~seed:9 shape) ])
+    (Stencil.make ~label:"rowup" ~output:"u"
+       ~expr:
+         Expr.(
+           (const 0.5 *: read "u" (iv [ -1; 0 ])) +: (const 0.25 *: read "u" (iv [ 0; 1 ])))
+       ~domain:(Domain.interior 2 ~ghost:1)
+       ())
+
+let test_row_aliased_binding () =
+  (* one mesh bound as both "u" and "w": the in-place read goes through
+     the non-output name and must still be treated as in place *)
+  let shape = iv [ 40 ] in
+  assert_sweep_matches_interp ~name:"alias" ~shape
+    ~mk_grids:(fun () ->
+      let m = Mesh.random ~seed:9 shape in
+      Grids.of_list [ ("u", m); ("w", m) ])
+    (Stencil.make ~label:"alias" ~output:"u"
+       ~expr:
+         Expr.(
+           (const 0.5 *: read "w" (iv [ -1 ])) +: (const 0.5 *: read "u" (iv [ 1 ])))
+       ~domain:(Domain.interior 1 ~ghost:1)
+       ())
+
+(* Random contents for every grid [s] touches: [shape_of] gives each
+   grid's mesh shape. *)
+let random_grids ~shape_of (s : Stencil.t) =
+  Grids.of_list
+    (List.mapi
+       (fun i g -> (g, Mesh.random ~seed:(31 + i) (shape_of g)))
+       (Stencil.grids s))
+
+(* The executor keeps Polyform.eval_factored's association order, so on
+   the HPGMG operators the compiled backend equals a sequential per-cell
+   loop of that reference evaluator bit for bit. *)
+let test_row_bitwise_eval_factored () =
+  let fine = iv [ 18; 18; 18 ] and coarse = iv [ 10; 10; 10 ] in
+  let params = function "inv_h2" -> 256. | p -> Alcotest.failf "param %s" p in
+  let cases =
+    [
+      (Sf_hpgmg.Operators.gsrb_color ~color:0, fine, fun _ -> fine);
+      (Sf_hpgmg.Operators.gsrb_color ~color:1, fine, fun _ -> fine);
+      (Sf_hpgmg.Operators.jacobi_cc ~out:"tmp" ~input:"u", fine, fun _ -> fine);
+      (Sf_hpgmg.Operators.laplacian_7pt ~out:"res" ~input:"u", fine, fun _ -> fine);
+      ( Sf_hpgmg.Operators.restriction,
+        coarse,
+        function "fine_res" -> fine | _ -> coarse );
+    ]
+    @ List.map
+        (fun s -> (s, coarse, function "fine_u" -> fine | _ -> coarse))
+        Sf_hpgmg.Operators.interpolation
+  in
+  List.iter
+    (fun ((s : Stencil.t), shape, shape_of) ->
+      let got = random_grids ~shape_of s and expect = random_grids ~shape_of s in
+      (Jit.compile Jit.Compiled ~shape (Group.make ~label:s.Stencil.label [ s ]))
+        .Kernel.run ~params:[ ("inv_h2", 256.) ] got;
+      let f =
+        match Polyform.of_expr ~params s.Stencil.expr with
+        | Some p -> Polyform.factorize p
+        | None -> Alcotest.failf "%s is not polynomial" s.Stencil.label
+      in
+      let out = Grids.find expect s.Stencil.output in
+      List.iter
+        (fun rect ->
+          Domain.iter rect (fun pt ->
+              Mesh.set out
+                (Affine.apply s.Stencil.out_map pt)
+                (Polyform.eval_factored f ~read_value:(fun (g, m) ->
+                     Mesh.get (Grids.find expect g) (Affine.apply m pt)))))
+        (Domain.resolve ~shape s.Stencil.domain);
+      check_int
+        (s.Stencil.label ^ ": max ulp vs eval_factored")
+        0
+        (Fcmp.array_max_ulp (Mesh.data out)
+           (Mesh.data (Grids.find got s.Stencil.output))))
+    cases
+
+let test_row_no_per_cell_allocation () =
+  (* running prepared 32³ GSRB tiles must not allocate per cell: no float
+     crosses a closure boundary boxed *)
+  let shape = iv [ 34; 34; 34 ] in
+  let s = Sf_hpgmg.Operators.gsrb_color ~color:0 in
+  let grids = random_grids ~shape_of:(fun _ -> shape) s in
+  let rects = Domain.resolve ~shape s.Stencil.domain in
+  let instantiate = Exec.prepare_compiled grids ~params:(fun _ -> 1.) s in
+  let thunks = List.map instantiate rects in
+  List.iter (fun t -> t ()) thunks;
+  let cells = 2 * Domain.npoints_union rects in
+  let w0 = Gc.minor_words () in
+  List.iter (fun t -> t (); t ()) thunks;
+  let per_cell = (Gc.minor_words () -. w0) /. float_of_int cells in
+  check_bool
+    (Printf.sprintf "%.4f minor words per cell < 0.01" per_cell)
+    true (per_cell < 0.01)
+
 (* ------------------------------------------------------ exec edge cases *)
 
 let test_constant_stencil () =
@@ -1400,6 +1552,21 @@ let () =
             test_closure_fallback_division;
         ] );
       ("polyform-props", List.map QCheck_alcotest.to_alcotest polyform_props);
+      ( "row-evaluator",
+        [
+          Alcotest.test_case "lexicographic sweep" `Quick
+            test_row_lexicographic_sweep;
+          Alcotest.test_case "distance-3 sweep" `Quick
+            test_row_distance_three_sweep;
+          Alcotest.test_case "colored sweep" `Quick test_row_colored_sweep;
+          Alcotest.test_case "previous-row sweep" `Quick
+            test_row_previous_row_sweep;
+          Alcotest.test_case "aliased binding" `Quick test_row_aliased_binding;
+          Alcotest.test_case "bitwise eval_factored" `Quick
+            test_row_bitwise_eval_factored;
+          Alcotest.test_case "no per-cell allocation" `Quick
+            test_row_no_per_cell_allocation;
+        ] );
       ( "edge-cases",
         [
           Alcotest.test_case "constant stencil" `Quick test_constant_stencil;

@@ -486,42 +486,69 @@ let test_helmholtz_smoother () =
   done;
   check_bool "helmholtz relaxation converges" true (residual () < r0 /. 1e3)
 
+(* The solver's phase breakdown is the set of [phase] spans [Mg.timed]
+   records, aggregated by name. *)
+let phase_profile () =
+  List.filter_map
+    (fun (a : Sf_trace.Trace.agg) ->
+      if a.Sf_trace.Trace.akind = Sf_trace.Trace.Phase then
+        Some (a.Sf_trace.Trace.aname, a.Sf_trace.Trace.total_us)
+      else None)
+    (Sf_trace.Trace.summary ())
+
 let test_profile_breakdown () =
   let solver = Mg.create ~n:16 () in
   Problem.setup_poisson (Mg.finest solver);
-  Alcotest.(check (list string)) "empty before work" []
-    (List.map fst (Mg.profile solver));
-  ignore (Mg.solve ~cycles:2 solver);
-  let prof = Mg.profile solver in
-  let time key =
-    match List.assoc_opt key prof with Some s -> s | None -> -1.
-  in
-  check_bool "smooth L0 tracked" true (time "smooth L0" > 0.);
-  check_bool "residual L0 tracked" true (time "residual L0" > 0.);
-  check_bool "bottom tracked" true (time "bottom L3" > 0.);
-  check_bool "transfer ops tracked" true
-    (time "restrict L0->L1" > 0. && time "interp L1->L0" > 0.);
-  (* the paper's premise: the finest level dominates *)
-  check_bool "finest smooth dominates" true
-    (time "smooth L0" > time "smooth L1");
-  Mg.reset_profile solver;
-  Alcotest.(check (list string)) "reset" []
-    (List.map fst (Mg.profile solver))
+  Sf_trace.Trace.with_enabled true (fun () ->
+      Sf_trace.Trace.clear ();
+      Alcotest.(check (list string)) "empty before work" []
+        (List.map fst (phase_profile ()));
+      ignore (Mg.solve ~cycles:2 solver);
+      let prof = phase_profile () in
+      let time key =
+        match List.assoc_opt key prof with Some s -> s | None -> -1.
+      in
+      check_bool "smooth L0 tracked" true (time "smooth L0" > 0.);
+      check_bool "residual L0 tracked" true (time "residual L0" > 0.);
+      check_bool "bottom tracked" true (time "bottom L3" > 0.);
+      check_bool "transfer ops tracked" true
+        (time "restrict L0->L1" > 0. && time "interp L1->L0" > 0.);
+      (* the paper's premise: the finest level dominates *)
+      check_bool "finest smooth dominates" true
+        (time "smooth L0" > time "smooth L1");
+      (* exactly the documented key families *)
+      List.iter
+        (fun (k, _) ->
+          check_bool ("documented key " ^ k) true
+            (List.exists
+               (fun p -> String.starts_with ~prefix:p k)
+               [ "smooth L"; "residual L"; "restrict L"; "interp L"; "bottom L" ]))
+        prof;
+      Sf_trace.Trace.clear ();
+      Alcotest.(check (list string)) "reset" []
+        (List.map fst (phase_profile ())))
 
 let test_timed_exception_safe () =
   (* regression: a raising body used to vanish from the profile — the
      sample was only booked after [f ()] returned normally *)
   let solver = Mg.create ~n:16 () in
-  Mg.reset_profile solver;
-  (try
-     Mg.timed solver "doomed" (fun () -> failwith "boom")
-   with Failure m -> Alcotest.(check string) "re-raised" "boom" m);
-  (match List.assoc_opt "doomed" (Mg.profile solver) with
-  | Some t -> check_bool "partial time booked" true (t >= 0.)
-  | None -> Alcotest.fail "raising phase dropped from the profile");
-  (* the sample accumulates with later successful runs under the same key *)
-  Mg.timed solver "doomed" (fun () -> ());
-  check_int "still one key" 1 (List.length (Mg.profile solver))
+  Sf_trace.Trace.with_enabled true (fun () ->
+      Sf_trace.Trace.clear ();
+      (try Mg.timed solver "doomed" (fun () -> failwith "boom")
+       with Failure m -> Alcotest.(check string) "re-raised" "boom" m);
+      (match List.assoc_opt "doomed" (phase_profile ()) with
+      | Some t -> check_bool "partial time booked" true (t >= 0.)
+      | None -> Alcotest.fail "raising phase dropped from the profile");
+      (* later successful runs aggregate under the same key *)
+      Mg.timed solver "doomed" (fun () -> ());
+      check_int "still one key" 1 (List.length (phase_profile ()));
+      match
+        List.find_opt
+          (fun (a : Sf_trace.Trace.agg) -> a.Sf_trace.Trace.aname = "doomed")
+          (Sf_trace.Trace.summary ())
+      with
+      | Some a -> check_int "two samples" 2 a.Sf_trace.Trace.calls
+      | None -> Alcotest.fail "doomed phase missing")
 
 let test_create_validation () =
   (try
