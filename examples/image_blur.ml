@@ -88,7 +88,12 @@ let () =
   in
   let plain = run Config.default in
   let fused =
-    run { Config.default with fuse = true; dce = Config.Dce [ "out" ] }
+    run
+      {
+        Config.default with
+        inline_producers = true;
+        dce = Config.Dce [ "out" ];
+      }
   in
   let d =
     Mesh.max_abs_diff (Grids.find plain "out") (Grids.find fused "out")

@@ -1,14 +1,9 @@
-type schedule = Greedy_waves | Dag_levels
-
 type t = {
   workers : int;
   tile : int list option;
-  chunks : int;
   tall_skinny : int * int;
   multicolor : bool;
-  schedule : schedule;
-  validate : bool;
-  fuse : bool;
+  inline_producers : bool;
   dce : dce;
   serial_cutoff : int;
   certify : bool;
@@ -56,12 +51,9 @@ let default =
   {
     workers = default_workers;
     tile = None;
-    chunks = 8;
     tall_skinny = (8, 64);
     multicolor = false;
-    schedule = Greedy_waves;
-    validate = true;
-    fuse = false;
+    inline_producers = false;
     dce = No_dce;
     serial_cutoff = default_serial_cutoff;
     certify = default_certify;

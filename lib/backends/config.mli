@@ -1,27 +1,24 @@
 (** Compilation options shared by the micro-compilers.
 
     These correspond to the tuning knobs the paper exposes when [compile] is
-    called: thread count, tile sizes, multicolor reordering, and the
-    barrier-placement strategy. *)
-
-type schedule = Greedy_waves | Dag_levels
+    called: thread count, tile sizes and multicolor reordering.  Barrier
+    placement is not a knob: each backend fixes its own ([Plan]). *)
 
 type t = {
   workers : int;  (** parallel degree (like OMP_NUM_THREADS / CUs) *)
   tile : int list option;
       (** explicit OpenMP tile sizes (lattice points per axis); [None]
-          falls back to outer-axis chunking into [chunks] subtasks *)
-  chunks : int;  (** subtasks per stencil when [tile = None] *)
+          falls back to outer-axis chunking into a fixed number of
+          subtasks ([Plan]) *)
   tall_skinny : int * int;  (** OpenCL 2-D tile (rows, cols) *)
   multicolor : bool;
       (** interleave the tiles of a domain-union (colored) stencil
           spatially instead of color-by-color *)
-  schedule : schedule;
-  validate : bool;  (** bounds/shape checks at kernel invocation *)
-  fuse : bool;
-      (** greedily fuse consecutive stencils when the analysis proves it
-          legal (producer consumed at offset zero over an identical
-          domain) *)
+  inline_producers : bool;
+      (** [Passes.fuse_pass]: greedily inline a producer stencil into its
+          consumer when the analysis proves it legal (producer consumed at
+          offset zero over an identical domain).  Unrelated to [fusion],
+          which keeps stencils separate and only shares tile tasks *)
   dce : dce;
       (** dead-stencil elimination before scheduling *)
   serial_cutoff : int;
@@ -101,8 +98,8 @@ val default_pipe_budget : int
 
 val default : t
 (** Sequential-friendly defaults: [workers] = {!default_workers}, no
-    explicit tile, [chunks = 8], tall-skinny [8 x 64], multicolor off,
-    greedy waves, validation on, no fusion, no DCE,
+    explicit tile, tall-skinny [8 x 64], multicolor off, no producer
+    inlining, no DCE,
     [serial_cutoff] = {!default_serial_cutoff},
     [certify] = {!default_certify}, no forced-parallel overrides,
     [trace] = {!default_trace}, [faults] = {!default_faults},

@@ -3,9 +3,9 @@
    The wave scheduler barriers between dependent stencils, so a chain of
    cheap pointwise stencils re-reads its grids once per stencil.  This
    pass partitions a group into *clusters* of provably cofusible stencils;
-   a backend executes a cluster as per-tile multi-stencil tasks — each
-   tile runs every member in program order — so the cluster makes one
-   pass over its grids.
+   [Plan] turns every cluster into one task whose tiles each run every
+   member in program order — so the cluster makes one pass over its
+   grids — and places the tasks into waves with [waves] below.
 
    Legality (cofusibility) of a multi-member cluster: members share one
    domain, every member writes through the identity out_map, every member
@@ -98,38 +98,6 @@ let waves ~shape clusters =
   done;
   if !current <> [] then waves := List.rev !current :: !waves;
   List.rev !waves
-
-(* Tile decomposition of a multi-member cluster: the shared domain is
-   tiled exactly like a point-parallel stencil's (explicit tile sizes or
-   outer-axis chunking); every tile becomes one multi-stencil task.
-   Callers use [Openmp_backend.plan_stencil] (or the OpenCL equivalent)
-   for singleton clusters, so unfused plans are byte-identical to the
-   pre-fusion ones. *)
-let cluster_tiles cfg ~shape (c : cluster) =
-  match c.members with
-  | [] -> []
-  | first :: _ ->
-      let rects = Domain.resolve ~shape first.Stencil.domain in
-      let tile_rect r =
-        match cfg.Config.tile with
-        | Some t -> Tiling.split ~tile:t r
-        | None -> Tiling.split_outer ~chunks:cfg.Config.chunks r
-      in
-      let per_rect = List.map tile_rect rects in
-      if cfg.Config.multicolor then Multicolor.interleave per_rect
-      else List.concat per_rect
-
-(* the OpenCL analogue: tall-skinny work-group decomposition *)
-let cluster_work_groups cfg ~shape (c : cluster) =
-  match c.members with
-  | [] -> []
-  | first :: _ ->
-      let rects = Domain.resolve ~shape first.Stencil.domain in
-      let per_rect =
-        List.map (Tiling.tall_skinny ~tile:cfg.Config.tall_skinny) rects
-      in
-      if cfg.Config.multicolor then Multicolor.interleave per_rect
-      else List.concat per_rect
 
 let fused_count clusters =
   List.fold_left

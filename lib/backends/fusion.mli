@@ -4,9 +4,10 @@
     The wave scheduler barriers between dependent stencils, so a chain of
     pointwise stencils streams its grids once per stencil.  A fused
     cluster runs every member in program order {e per tile}, making a
-    single pass over the cluster's grids; [Costing.of_fused] credits the
-    saved traffic and [Schedule_check] re-proves the plan race-free
-    ([SF023]) before [Jit.compile] adopts it.
+    single pass over the cluster's grids.  [Plan.build] turns each
+    cluster into one task, [Costing.of_fused] credits the saved traffic
+    and [Schedule_check] re-proves the plan race-free ([SF023]) before
+    [Jit.compile] adopts it.
 
     A multi-member cluster is legal when members share one domain, write
     through identity out_maps, are individually point-parallel, and read
@@ -32,20 +33,10 @@ val cofusible : Config.t -> shape:Ivec.t -> Stencil.t list -> Stencil.t -> bool
     holding [members] (program order)?  Always true for [members = []]. *)
 
 val waves : shape:Ivec.t -> cluster list -> int list list
-(** Greedy barrier placement over clusters (cluster indices), mirroring
-    [Schedule.greedy_waves] at cluster granularity. *)
-
-val cluster_tiles :
-  Config.t -> shape:Ivec.t -> cluster -> Domain.resolved list
-(** Tile decomposition of a (multi-member) cluster's shared domain —
-    explicit [Config.tile] sizes or outer-axis chunking, with multicolor
-    interleaving when configured; each tile becomes one multi-stencil
-    task. *)
-
-val cluster_work_groups :
-  Config.t -> shape:Ivec.t -> cluster -> Domain.resolved list
-(** The OpenCL analogue of {!cluster_tiles}: tall-skinny work-group
-    decomposition of the shared domain. *)
+(** Greedy barrier placement over clusters (cluster indices): a cluster
+    joins the current wave unless one of its members depends on a member
+    already in it.  On singleton clusters this is exactly
+    [Schedule.greedy_waves]. *)
 
 val fused_count : cluster list -> int
 (** Number of clusters with more than one member. *)

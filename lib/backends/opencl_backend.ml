@@ -1,182 +1,37 @@
 (* The OpenCL-style micro-compiler (paper §IV.B).
 
-   Each stencil becomes one NDRange "kernel enqueue" on an in-order queue:
-   a barrier separates consecutive stencils (no cross-stencil overlap,
-   matching the backend the paper describes).  The NDRange is decomposed
-   with tall-skinny blocking: 2-D tiles of the innermost two axes, each
-   tile rolled upward through the full extent of the outer axes; every tile
-   is a work-group, farmed to the pool's compute units.  Stencils that are
-   not point-parallel degrade to a single sequential work-item. *)
+   Each cluster of the group's [Plan] (built for [`Opencl]) becomes one
+   NDRange "kernel enqueue" on an in-order queue: a barrier separates
+   consecutive enqueues (no cross-stencil overlap, matching the backend
+   the paper describes).  The NDRange is decomposed with tall-skinny
+   blocking: 2-D tiles of the innermost two axes, each tile rolled upward
+   through the full extent of the outer axes; every tile is a work-group,
+   farmed to the pool's compute units.  Stencils that are not
+   point-parallel degrade to a single sequential work-item.  Under
+   [Config.fusion] a multi-member cluster is one "mega-kernel" enqueue
+   whose work-groups run every member over their tile. *)
 
 open Snowflake
-open Sf_analysis
 
-type enqueue = {
-  stencil : Stencil.t;
-  work_groups : Domain.resolved list;
-  parallel_ok : bool;
-}
-
-let plan_stencil (cfg : Config.t) ~shape s =
-  let rects = Domain.resolve ~shape s.Stencil.domain in
-  let parallel_ok =
-    Dependence.point_parallel ~shape s
-    || List.mem s.Stencil.label cfg.Config.force_parallel
-  in
-  let work_groups =
-    if not parallel_ok then rects
-    else begin
-      let per_rect =
-        List.map (Tiling.tall_skinny ~tile:cfg.Config.tall_skinny) rects
-      in
-      if cfg.Config.multicolor then Multicolor.interleave per_rect
-      else List.concat per_rect
-    end
-  in
-  { stencil = s; work_groups; parallel_ok }
-
-(* Under Config.fusion, a multi-member cluster becomes ONE enqueue: its
-   work-groups each run the members in program order over their tile, a
-   "mega-kernel" making a single pass over the cluster's grids.  The
-   in-order queue still barriers between cluster enqueues. *)
-type launch_plan = {
-  label : string;
-  members : Stencil.t list;  (** program order *)
-  work_groups : Domain.resolved list;
-  parallel_ok : bool;
-}
-
-let cluster_plans (cfg : Config.t) ~shape clusters =
-  List.map
-    (fun (c : Fusion.cluster) ->
-      match c.Fusion.members with
-      | [ s ] ->
-          let e = plan_stencil cfg ~shape s in
-          {
-            label = s.Stencil.label;
-            members = [ s ];
-            work_groups = e.work_groups;
-            parallel_ok = e.parallel_ok;
-          }
-      | members ->
-          {
-            label =
-              String.concat "+"
-                (List.map (fun (s : Stencil.t) -> s.Stencil.label) members);
-            members;
-            work_groups = Fusion.cluster_work_groups cfg ~shape c;
-            parallel_ok = true;
-          })
-    clusters
-
-let compile (cfg : Config.t) ~shape (group : Group.t) =
-  let shape = Array.copy shape in
-  let clusters = Fusion.partition cfg ~shape group in
-  let fused = Fusion.fused_count clusters in
-  let plans = cluster_plans cfg ~shape clusters in
-  (* a view of the shared persistent domain pool (compute units) *)
-  let pool =
-    Pool.create ~workers:cfg.Config.workers
-    |> Pool.with_serial_cutoff cfg.Config.serial_cutoff
-  in
-  let description =
-    if fused = 0 then
+let description (cfg : Config.t) (plan : Plan.t) =
+  let workers = Pool.workers (Pool.create ~workers:cfg.Config.workers) in
+  let rows, cols = cfg.Config.tall_skinny in
+  let enqueues = List.length plan.Plan.clusters in
+  match Fusion.fused_count plan.Plan.clusters with
+  | 0 ->
       Printf.sprintf
         "opencl: %d enqueue(s); tall-skinny %dx%d; %d compute unit(s)"
-        (List.length plans)
-        (fst cfg.Config.tall_skinny)
-        (snd cfg.Config.tall_skinny)
-        (Pool.workers pool)
-    else
+        enqueues rows cols workers
+  | _ ->
       Printf.sprintf
         "opencl+fusion: %d stencil(s) as %d enqueue(s); tall-skinny %dx%d; \
          %d compute unit(s); partition %s"
-        (Group.length group) (List.length plans)
-        (fst cfg.Config.tall_skinny)
-        (snd cfg.Config.tall_skinny)
-        (Pool.workers pool) (Fusion.describe clusters)
-  in
-  let cache = Run_cache.create () in
-  let names = Group.grids group in
-  let run ?(params = []) grids =
-    let launches =
-      Run_cache.get cache ~grids ~names ~params (fun () ->
-          if cfg.Config.validate then
-            List.iter
-              (fun p ->
-                List.iter (Exec.validate_stencil grids ~shape) p.members)
-              plans;
-          List.map
-            (fun p ->
-              let label = p.label in
-              let points =
-                Domain.npoints_union p.work_groups * List.length p.members
-              in
-              let thunks =
-                let instantiates =
-                  List.map
-                    (fun (s : Stencil.t) ->
-                      let lookup =
-                        Kernel.param_lookup
-                          ~loc:
-                            (Srcloc.stencil ~group:group.Group.label
-                               s.Stencil.label)
-                          params
-                      in
-                      Exec.prepare_compiled grids ~params:lookup s)
-                    p.members
-                in
-                List.map
-                  (fun wg ->
-                    match instantiates with
-                    | [ inst ] -> inst wg
-                    | insts ->
-                        let fs = List.map (fun inst -> inst wg) insts in
-                        fun () -> List.iter (fun f -> f ()) fs)
-                  p.work_groups
-              in
-              if p.parallel_ok then
-                `Parallel (label, points, Array.of_list thunks)
-              else
-                `Sequential
-                  (label, points, fun () -> List.iter (fun f -> f ()) thunks))
-            plans)
-    in
-    let launch = function
-      | `Parallel (_, points, tasks) -> Pool.run_tasks ~points pool tasks
-      | `Sequential (_, _, f) -> f ()
-    in
-    (* each enqueue is a wave: the in-order queue barriers between them *)
-    if Sf_trace.Trace.on () then
-      List.iteri
-        (fun i l ->
-          let module Trace = Sf_trace.Trace in
-          let label, points, tasks =
-            match l with
-            | `Parallel (label, points, tasks) ->
-                (label, points, Array.length tasks)
-            | `Sequential (label, points, _) -> (label, points, 1)
-          in
-          Trace.span
-            ~args:
-              [
-                ("group", Trace.Str group.Group.label);
-                ("wave", Trace.Int i);
-                ("stencil", Trace.Str label);
-                ("points", Trace.Int points);
-                ("tasks", Trace.Int tasks);
-              ]
-            Trace.Wave
-            (Printf.sprintf "%s/wave%d" group.Group.label i)
-            (fun () ->
-              Serial_backend.wave_fault group i;
-              launch l))
-        launches
-    else
-      List.iteri
-        (fun i l ->
-          Serial_backend.wave_fault group i;
-          launch l)
-        launches
-  in
-  Kernel.make ~name:group.Group.label ~backend:"opencl" ~description run
+        (Group.length plan.Plan.group)
+        enqueues rows cols workers
+        (Fusion.describe plan.Plan.clusters)
+
+let compile (cfg : Config.t) ~shape (group : Group.t) =
+  let plan = Plan.build cfg ~shape ~backend:`Opencl group in
+  Kernel.make ~name:group.Group.label ~backend:"opencl"
+    ~description:(description cfg plan)
+    (Plan.executor cfg ~shape plan)

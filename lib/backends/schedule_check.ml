@@ -1,8 +1,6 @@
 open Snowflake
 open Sf_analysis
 
-type task = { stencil : Stencil.t; tiles : Domain.resolved list }
-
 type conflict = {
   first : int;
   second : int;
@@ -11,159 +9,6 @@ type conflict = {
   grid : string;
   kind : string;
 }
-
-let writes_of t =
-  List.map (Footprint.affine_image t.stencil.Stencil.out_map) t.tiles
-
-(* reads grouped by grid, imaged over every tile of the task; a stencil
-   reading the same grid through several maps contributes the union of all
-   their images under one key *)
-let reads_by_grid t =
-  let tbl = Hashtbl.create 8 in
-  let order = ref [] in
-  List.iter
-    (fun (g, m) ->
-      let lats = List.map (Footprint.affine_image m) t.tiles in
-      (match Hashtbl.find_opt tbl g with
-      | None -> order := g :: !order
-      | Some _ -> ());
-      Hashtbl.replace tbl g
-        (Option.value ~default:[] (Hashtbl.find_opt tbl g) @ lats))
-    (Stencil.reads t.stencil);
-  List.rev_map (fun g -> (g, Hashtbl.find tbl g)) !order
-
-(* Exhaustive conflict collection.  Tasks are bucketed on grid name first:
-   every conflict involves some task's *output* grid, so only pairs that
-   share a bucket ever reach the (expensive) lattice intersection — the
-   all-pairs loop of the old checker is pruned to writer×writer and
-   writer×reader pairs per grid. *)
-let wave_conflicts tasks =
-  let arr = Array.of_list tasks in
-  let n = Array.length arr in
-  let writes = Array.map writes_of arr in
-  let reads = Array.map reads_by_grid arr in
-  let push tbl g i =
-    Hashtbl.replace tbl g (i :: Option.value ~default:[] (Hashtbl.find_opt tbl g))
-  in
-  let writers : (string, int list) Hashtbl.t = Hashtbl.create 16 in
-  let readers : (string, int list) Hashtbl.t = Hashtbl.create 16 in
-  for i = n - 1 downto 0 do
-    push writers arr.(i).stencil.Stencil.output i;
-    List.iter (fun (g, _) -> push readers g i) reads.(i)
-  done;
-  let conflicts = ref [] in
-  let add i j grid kind =
-    conflicts :=
-      {
-        first = i;
-        second = j;
-        first_label = arr.(i).stencil.Stencil.label;
-        second_label = arr.(j).stencil.Stencil.label;
-        grid;
-        kind;
-      }
-      :: !conflicts
-  in
-  Hashtbl.iter
-    (fun g ws ->
-      (* write/write inside the bucket *)
-      let rec ww = function
-        | [] -> ()
-        | i :: rest ->
-            List.iter
-              (fun j ->
-                if Footprint.lattice_lists_intersect writes.(i) writes.(j)
-                then add i j g "write/write")
-              rest;
-            ww rest
-      in
-      ww ws;
-      (* writer against every reader of the same grid *)
-      List.iter
-        (fun w ->
-          match Hashtbl.find_opt readers g with
-          | None -> ()
-          | Some rs ->
-              List.iter
-                (fun r ->
-                  if r <> w then
-                    let rlats = List.assoc g reads.(r) in
-                    if Footprint.lattice_lists_intersect writes.(w) rlats
-                    then
-                      if w < r then add w r g "write/read"
-                      else add r w g "read/write")
-                rs)
-        ws)
-    writers;
-  List.sort_uniq compare !conflicts
-
-let waves_conflicts waves =
-  List.mapi (fun w wave -> (w, wave_conflicts wave)) waves
-  |> List.filter (fun (_, cs) -> cs <> [])
-
-let conflict_to_string c =
-  Printf.sprintf "tasks %d (%s) and %d (%s) conflict: %s on grid %s" c.first
-    c.first_label c.second c.second_label c.kind c.grid
-
-let check_wave tasks =
-  match wave_conflicts tasks with
-  | [] -> Ok ()
-  | c :: rest ->
-      Error
-        (conflict_to_string c
-        ^
-        match rest with
-        | [] -> ""
-        | _ -> Printf.sprintf " (+%d more)" (List.length rest))
-
-let check_waves waves =
-  List.fold_left
-    (fun acc wave -> match acc with Ok () -> check_wave wave | e -> e)
-    (Ok ()) waves
-
-let openmp_plan config ~shape group =
-  let stencils = Array.of_list (Group.stencils group) in
-  let plans = Array.map (Openmp_backend.plan_stencil config ~shape) stencils in
-  let waves = Openmp_backend.waves_of config ~shape group in
-  List.map
-    (fun wave ->
-      List.concat_map
-        (fun idx ->
-          let p = plans.(idx) in
-          if p.Openmp_backend.parallel_ok then
-            List.map
-              (fun tile ->
-                { stencil = p.Openmp_backend.stencil; tiles = [ tile ] })
-              p.Openmp_backend.tiles
-          else
-            [ { stencil = p.Openmp_backend.stencil; tiles = p.Openmp_backend.tiles } ])
-        wave)
-    waves
-
-let opencl_plan config ~shape group =
-  List.map
-    (fun s ->
-      let e = Opencl_backend.plan_stencil config ~shape s in
-      if e.Opencl_backend.parallel_ok then
-        List.map
-          (fun wg -> { stencil = s; tiles = [ wg ] })
-          e.Opencl_backend.work_groups
-      else [ { stencil = s; tiles = e.Opencl_backend.work_groups } ])
-    (Group.stencils group)
-
-(* ----------------------------------------------------- fused-plan tasks
-
-   A fused task runs several stencils in program order over the same
-   tiles, so it may write several grids; the single-output bucketing
-   above does not fit.  The core is the same — bucket on grid name,
-   intersect only writer x writer and writer x reader pairs — with writes
-   kept per grid.  Intra-task overlap is never a conflict (members run
-   sequentially within the task). *)
-
-type fused_task = { members : Stencil.t list; ftiles : Domain.resolved list }
-
-let fused_label f =
-  String.concat "+" (List.map (fun (s : Stencil.t) -> s.Stencil.label) f.members)
 
 (* merge duplicate grid keys, preserving first-occurrence order *)
 let group_lats assocs =
@@ -179,28 +24,36 @@ let group_lats assocs =
     assocs;
   List.rev_map (fun g -> (g, Hashtbl.find tbl g)) !order
 
-let fused_writes f =
+(* every grid a task writes (reads), imaged over all of its tiles; a task
+   touching one grid through several members or maps contributes the union
+   of their images under one key *)
+let writes_of (t : Plan.task) =
   group_lats
     (List.map
        (fun (s : Stencil.t) ->
          ( s.Stencil.output,
-           List.map (Footprint.affine_image s.Stencil.out_map) f.ftiles ))
-       f.members)
+           List.map (Footprint.affine_image s.Stencil.out_map) t.Plan.tiles ))
+       t.Plan.members)
 
-let fused_reads f =
+let reads_of (t : Plan.task) =
   group_lats
     (List.concat_map
        (fun (s : Stencil.t) ->
          List.map
-           (fun (g, m) -> (g, List.map (Footprint.affine_image m) f.ftiles))
+           (fun (g, m) -> (g, List.map (Footprint.affine_image m) t.Plan.tiles))
            (Stencil.reads s))
-       f.members)
+       t.Plan.members)
 
-let fused_wave_conflicts (tasks : fused_task list) =
+(* Exhaustive conflict collection.  Tasks are bucketed on grid name first:
+   every conflict involves some task's written grid, so only writer x
+   writer and writer x reader pairs of the same grid ever reach the
+   (expensive) lattice intersection.  Overlap inside one task is never a
+   conflict: its members and tiles run sequentially. *)
+let wave_conflicts (tasks : Plan.task list) =
   let arr = Array.of_list tasks in
   let n = Array.length arr in
-  let writes = Array.map fused_writes arr in
-  let reads = Array.map fused_reads arr in
+  let writes = Array.map writes_of arr in
+  let reads = Array.map reads_of arr in
   let push tbl g i =
     Hashtbl.replace tbl g
       (i :: Option.value ~default:[] (Hashtbl.find_opt tbl g))
@@ -227,8 +80,8 @@ let fused_wave_conflicts (tasks : fused_task list) =
       {
         first = i;
         second = j;
-        first_label = fused_label arr.(i);
-        second_label = fused_label arr.(j);
+        first_label = Plan.label arr.(i);
+        second_label = Plan.label arr.(j);
         grid;
         kind;
       }
@@ -264,52 +117,15 @@ let fused_wave_conflicts (tasks : fused_task list) =
     writers;
   List.sort_uniq compare !conflicts
 
-let fused_waves_conflicts waves =
-  List.mapi (fun w wave -> (w, fused_wave_conflicts wave)) waves
+let plan_conflicts (plan : Plan.t) =
+  List.mapi
+    (fun w wave -> (w, wave_conflicts (List.concat_map Plan.units wave)))
+    plan.Plan.waves
   |> List.filter (fun (_, cs) -> cs <> [])
 
-let singleton_openmp_tasks config ~shape s =
-  let p = Openmp_backend.plan_stencil config ~shape s in
-  if p.Openmp_backend.parallel_ok then
-    List.map
-      (fun tile -> { members = [ s ]; ftiles = [ tile ] })
-      p.Openmp_backend.tiles
-  else [ { members = [ s ]; ftiles = p.Openmp_backend.tiles } ]
-
-let fused_openmp_plan config ~shape group =
-  let clusters = Array.of_list (Fusion.partition config ~shape group) in
-  let waves = Fusion.waves ~shape (Array.to_list clusters) in
-  List.map
-    (fun wave ->
-      List.concat_map
-        (fun ci ->
-          let c = clusters.(ci) in
-          match c.Fusion.members with
-          | [ s ] -> singleton_openmp_tasks config ~shape s
-          | members ->
-              List.map
-                (fun tile -> { members; ftiles = [ tile ] })
-                (Fusion.cluster_tiles config ~shape c))
-        wave)
-    waves
-
-let fused_opencl_plan config ~shape group =
-  (* in-order queue: every cluster enqueue is its own wave *)
-  List.map
-    (fun (c : Fusion.cluster) ->
-      match c.Fusion.members with
-      | [ s ] ->
-          let e = Opencl_backend.plan_stencil config ~shape s in
-          if e.Opencl_backend.parallel_ok then
-            List.map
-              (fun wg -> { members = [ s ]; ftiles = [ wg ] })
-              e.Opencl_backend.work_groups
-          else [ { members = [ s ]; ftiles = e.Opencl_backend.work_groups } ]
-      | members ->
-          List.map
-            (fun wg -> { members; ftiles = [ wg ] })
-            (Fusion.cluster_work_groups config ~shape c))
-    (Fusion.partition config ~shape group)
+let conflict_to_string c =
+  Printf.sprintf "tasks %d (%s) and %d (%s) conflict: %s on grid %s" c.first
+    c.first_label c.second c.second_label c.kind c.grid
 
 (* ------------------------------------------------------- certification *)
 
@@ -324,11 +140,6 @@ let stencil_index group label =
   find 0 (Group.stencils group)
 
 let certify config ~shape ~backend group =
-  let plan =
-    match backend with
-    | `Openmp -> openmp_plan config ~shape group
-    | `Opencl -> opencl_plan config ~shape group
-  in
   let bname = backend_name backend in
   let overrides =
     List.filter_map
@@ -354,6 +165,10 @@ let certify config ~shape ~backend group =
                       bname)))
       (List.sort_uniq String.compare config.Config.force_parallel)
   in
+  (* SF021 is proven on the per-stencil plan (fusion forced off) *)
+  let base =
+    Plan.build { config with Config.fusion = false } ~shape ~backend group
+  in
   let races =
     List.concat_map
       (fun (w, cs) ->
@@ -372,20 +187,18 @@ let certify config ~shape ~backend group =
               (Printf.sprintf "%s plan, wave %d: %s" bname w
                  (conflict_to_string c)))
           cs)
-      (waves_conflicts plan)
+      (plan_conflicts base)
   in
   (* with fusion on, the backend executes the fused plan — re-prove it
      race-free at fused-task granularity (only when something actually
-     fused: otherwise the fused plan is the base plan already checked) *)
+     fused: otherwise it is the plan already checked) *)
   let fused =
-    let clusters = Fusion.partition config ~shape group in
-    if not (config.Config.fusion && Fusion.fused_count clusters > 0) then []
+    let plan =
+      if config.Config.fusion then Plan.build config ~shape ~backend group
+      else base
+    in
+    if Fusion.fused_count plan.Plan.clusters = 0 then []
     else
-      let fplan =
-        match backend with
-        | `Openmp -> fused_openmp_plan config ~shape group
-        | `Opencl -> fused_opencl_plan config ~shape group
-      in
       List.concat_map
         (fun (w, cs) ->
           List.map
@@ -398,7 +211,7 @@ let certify config ~shape ~backend group =
                 (Printf.sprintf "%s fused plan, wave %d: %s" bname w
                    (conflict_to_string c)))
             cs)
-        (fused_waves_conflicts fplan)
+        (plan_conflicts plan)
   in
   overrides @ races @ fused
 

@@ -1,100 +1,58 @@
-(** Dynamic-plan conflict checking and schedule certification.
+(** Race certification of the parallel backends' task plan.
 
-    A backend's parallel plan is a list of waves, each wave a set of tasks
-    executed concurrently; a task covers one tile (or, for a stencil the
-    analysis could not prove point-parallel, its whole domain run
-    sequentially).  {!wave_conflicts} verifies the fundamental safety
-    property the Diophantine analysis is supposed to guarantee — no two
-    concurrent tasks touch the same cell with at least one write — by exact
-    lattice intersection over the *actual tiles* of the plan, and reports
-    {e every} conflicting pair, not just the first.  Pairs are pruned by
-    bucketing tasks on grid name: a conflict always involves somebody's
-    output grid, so only writer×writer and writer×reader pairs of the same
-    grid are intersected.
+    The certifier checks the {!Plan.t} the executor runs, built by the
+    same {!Plan.build}.  In a wave, every unit of every task
+    ({!Plan.units}: one per tile of a parallel task, or a whole
+    sequential task) runs concurrently with the others.
+    {!wave_conflicts} verifies the fundamental safety property the
+    Diophantine analysis is supposed to guarantee — no two concurrent
+    units touch the same cell with at least one write — by exact lattice
+    intersection over the plan's actual tiles, and reports {e every}
+    conflicting pair, not just the first.  A unit may hold several fused
+    stencils and so write several grids; pairs are pruned by bucketing
+    units on grid name, since a conflict always involves somebody's
+    written grid, so only writer×writer and writer×reader pairs of the
+    same grid are intersected.  Overlap inside one unit is never a
+    conflict: its members and tiles run sequentially.
 
-    {!certify} wraps the checker as an [sflint] pass ([SF021]/[SF022]) and
-    is what [Jit.compile] runs under [SF_VALIDATE=1] /
+    {!certify} wraps the checker as an [sflint] pass ([SF021]–[SF023])
+    and is what [Jit.compile] runs under [SF_VALIDATE=1] /
     [Config.certify]. *)
 
 open Snowflake
 
-type task = { stencil : Stencil.t; tiles : Domain.resolved list }
-(** Lattice points this task iterates; intra-task ordering is sequential,
-    so only inter-task overlap is a conflict. *)
-
 type conflict = {
-  first : int;  (** task index within the wave, [first < second] *)
+  first : int;  (** unit index within the wave, [first < second] *)
   second : int;
-  first_label : string;
+  first_label : string;  (** member labels joined by ["+"] *)
   second_label : string;
-  grid : string;  (** the grid on which the tasks collide *)
+  grid : string;  (** the grid on which the units collide *)
   kind : string;  (** ["write/write"], ["write/read"] or ["read/write"] *)
 }
 
-val wave_conflicts : task list -> conflict list
-(** All conflicting pairs of the wave, deduplicated and sorted by task
-    indices; empty iff the wave is race-free. *)
+val wave_conflicts : Plan.task list -> conflict list
+(** All conflicting pairs among tasks that run concurrently (each task
+    runs its members over its tiles sequentially), deduplicated and
+    sorted by task indices; empty iff the wave is race-free. *)
 
-val waves_conflicts : task list list -> (int * conflict list) list
-(** Per-wave conflicts over a whole plan; only non-clean waves appear. *)
+val plan_conflicts : Plan.t -> (int * conflict list) list
+(** {!wave_conflicts} over the units of every wave of a plan; only
+    non-clean waves appear, paired with their index. *)
 
 val conflict_to_string : conflict -> string
-
-val check_wave : task list -> (unit, string) result
-(** [Error msg] names the first conflicting pair (and how many more there
-    are) — the historical interface, kept for the property tests. *)
-
-val check_waves : task list list -> (unit, string) result
-
-val openmp_plan :
-  Config.t -> shape:Sf_util.Ivec.t -> Group.t -> task list list
-(** The exact wave/task decomposition the OpenMP backend executes,
-    including [Config.multicolor] tile reordering and
-    [Config.force_parallel] overrides. *)
-
-val opencl_plan :
-  Config.t -> shape:Sf_util.Ivec.t -> Group.t -> task list list
-(** Work-group decomposition of the OpenCL backend; each enqueue is its
-    own wave (in-order queue). *)
-
-(** {2 Fused plans}
-
-    A fused task runs several stencils in program order over shared
-    tiles, so it may write several grids.  The conflict core is the same
-    bucketed lattice intersection, generalised to per-grid write sets;
-    intra-task overlap is never a conflict (members are sequential within
-    a task). *)
-
-type fused_task = { members : Stencil.t list; ftiles : Domain.resolved list }
-
-val fused_wave_conflicts : fused_task list -> conflict list
-(** Conflicting pairs of concurrent fused tasks; labels are the joined
-    member labels (["a+b"]). *)
-
-val fused_waves_conflicts : fused_task list list -> (int * conflict list) list
-
-val fused_openmp_plan :
-  Config.t -> shape:Sf_util.Ivec.t -> Group.t -> fused_task list list
-(** The wave/task decomposition the OpenMP backend executes under
-    [Config.fusion]: singleton clusters keep the per-stencil plan
-    byte-identical to {!openmp_plan}; multi-member clusters become one
-    task per shared tile. *)
-
-val fused_opencl_plan :
-  Config.t -> shape:Sf_util.Ivec.t -> Group.t -> fused_task list list
 
 val certify :
   Config.t ->
   shape:Sf_util.Ivec.t ->
-  backend:[ `Openmp | `Opencl ] ->
+  backend:Plan.backend ->
   Group.t ->
   Sf_analysis.Diagnostics.t list
-(** Build the backend's plan under the given configuration and report
-    every intra-wave conflict as an [SF021] error, plus an [SF022] warning
-    for each [Config.force_parallel] label that overrides the analysis.
-    When [Config.fusion] is on and the partition actually fused
-    something, the fused plan is re-proven at fused-task granularity and
-    its conflicts reported as [SF023] errors.  An empty (or error-free)
+(** Report every intra-wave conflict of the backend's plan with fusion
+    forced off as an [SF021] error, plus an [SF022] warning for each
+    [Config.force_parallel] label that overrides the analysis.  When
+    [Config.fusion] is on and the partition actually fused something,
+    the fused plan — the one the executor runs — is checked too and its
+    conflicts reported as [SF023] errors.  An empty (or error-free)
     result certifies the plan race-free. *)
 
 val certify_timetile :

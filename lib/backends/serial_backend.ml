@@ -17,7 +17,7 @@ let wave_fault group i =
       (Fault.fire ~site:"wave"
          ~detail:(Printf.sprintf "%s/wave%d" group.Group.label i))
 
-let compile_interp (cfg : Config.t) ~shape (group : Group.t) =
+let compile_interp (_ : Config.t) ~shape (group : Group.t) =
   let shape = Array.copy shape in
   let plans =
     List.map
@@ -32,7 +32,7 @@ let compile_interp (cfg : Config.t) ~shape (group : Group.t) =
           ~loc:(Srcloc.stencil ~group:group.Group.label s.Stencil.label)
           params
       in
-      if cfg.Config.validate then Exec.validate_stencil grids ~shape s;
+      Exec.validate_stencil grids ~shape s;
       List.iter (fun r -> Exec.run_rect_interp grids ~params s r) rects
     in
     (* sequential semantics: each stencil is its own wave *)
@@ -59,7 +59,7 @@ let compile_interp (cfg : Config.t) ~shape (group : Group.t) =
       (Printf.sprintf "interp: %d stencil(s), sequential" (List.length plans))
     run
 
-let compile_compiled (cfg : Config.t) ~shape (group : Group.t) =
+let compile_compiled (_ : Config.t) ~shape (group : Group.t) =
   let shape = Array.copy shape in
   let plans =
     List.map
@@ -81,7 +81,7 @@ let compile_compiled (cfg : Config.t) ~shape (group : Group.t) =
                     (Srcloc.stencil ~group:group.Group.label s.Stencil.label)
                   params
               in
-              if cfg.Config.validate then Exec.validate_stencil grids ~shape s;
+              Exec.validate_stencil grids ~shape s;
               let instantiate = Exec.prepare_compiled grids ~params:lookup s in
               ( s.Stencil.label,
                 Domain.npoints_union rects,

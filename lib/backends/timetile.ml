@@ -108,7 +108,7 @@ let describe p =
 
 module Trace = Sf_trace.Trace
 
-let compile (cfg : Config.t) ~shape (p : plan) =
+let compile (_ : Config.t) ~shape (p : plan) =
   let shape = Array.copy shape in
   let members = Array.of_list (Group.stencils p.group) in
   let nmem = Array.length members in
@@ -151,8 +151,7 @@ let compile (cfg : Config.t) ~shape (p : plan) =
   let run ?(params = []) grids =
     let blocks =
       Run_cache.get cache ~grids ~names ~params (fun () ->
-          if cfg.Config.validate then
-            Array.iter (fun s -> Exec.validate_stencil grids ~shape s) members;
+          Array.iter (fun s -> Exec.validate_stencil grids ~shape s) members;
           let instantiate =
             Array.map
               (fun (s : Stencil.t) ->

@@ -1,11 +1,12 @@
 (** C + OpenMP source emission (paper §IV.A).
 
     Produces a complete C99 translation unit for a stencil group: one
-    function whose body is the wave schedule — each stencil tile an
-    [#pragma omp task], each inter-wave barrier an [#pragma omp taskwait].
-    The plan (waves, tiles, sequential fallbacks) is the *same one* the
-    executable OpenMP backend runs, so the emitted code is a faithful
-    transcription of what this repository actually executes and measures. *)
+    function whose body is the wave schedule — each concurrent unit of a
+    task an [#pragma omp task], each inter-wave barrier an
+    [#pragma omp taskwait].  It walks the [Plan.t] the executable OpenMP
+    backend runs (waves, tiles, fused clusters, sequential fallbacks),
+    so the emitted code is a faithful transcription of what this
+    repository actually executes and measures. *)
 
 open Sf_util
 open Snowflake

@@ -513,7 +513,11 @@ let run_fusion opts =
     [
       ("off", Config.default);
       ( "on (+DCE, out live)",
-        { Config.default with fuse = true; dce = Config.Dce [ "out" ] } );
+        {
+          Config.default with
+          inline_producers = true;
+          dce = Config.Dce [ "out" ];
+        } );
     ];
   emit_table "fusion" t;
   Printf.printf
@@ -909,12 +913,12 @@ let run_verify _opts =
     (Printf.sprintf "max backend deviation %.2e" backend_diff);
   (* 4. parallel plans are conflict-free *)
   let plan_ok =
-    Sf_backends.Schedule_check.check_waves
-      (Sf_backends.Schedule_check.openmp_plan
+    Sf_backends.Schedule_check.plan_conflicts
+      (Sf_backends.Plan.build
          (Config.with_workers 4 Config.default)
          ~shape:(Ivec.of_list [ 18; 18; 18 ])
-         Operators.gsrb_smooth)
-    = Ok ()
+         ~backend:`Openmp Operators.gsrb_smooth)
+    = []
   in
   check "plan conflict-freedom" plan_ok "exact lattice check on all waves";
   emit_table "verify" t

@@ -83,18 +83,27 @@ let test_pool_nested_runs_inline () =
 
 let test_pool_abort_skips_counted () =
   (* regression: an aborted batch used to look indistinguishable from a
-     completed one — the drained tasks must show up in stats as [skipped] *)
+     completed one — the drained tasks must show up in stats as [skipped].
+     Every task but the failing one holds until some chunk has finished.
+     The first chunk to finish is therefore task 0, and the pool records
+     its failure before counting the chunk, so every task claimed after
+     the hold is drained unrun however the domains are scheduled.  The
+     hold is bounded: a pool that never finishes task 0 fails the test
+     instead of hanging it. *)
   let pool = Pool.create ~workers:4 in
   Pool.reset_stats ();
-  let executed = Atomic.make 0 in
+  let executed = Atomic.make 0 and held_too_long = Atomic.make false in
+  let deadline = Unix.gettimeofday () +. 10. in
   let tasks =
     Array.init 512 (fun i () ->
         if i = 0 then failwith "abort"
         else begin
-          (* a little work so the whole batch cannot drain before the
-             failure flag is published *)
-          for _ = 1 to 200 do
-            ignore (Sys.opaque_identity i)
+          while
+            (Pool.stats ()).Pool.chunks = 0 && not (Atomic.get held_too_long)
+          do
+            if Unix.gettimeofday () > deadline then
+              Atomic.set held_too_long true
+            else Stdlib.Domain.cpu_relax ()
           done;
           Atomic.incr executed
         end)
@@ -104,6 +113,7 @@ let test_pool_abort_skips_counted () =
      Alcotest.fail "exception swallowed"
    with Failure m -> Alcotest.(check string) "msg" "abort" m);
   let s = Pool.stats () in
+  check_bool "failing task finished first" false (Atomic.get held_too_long);
   check_bool "abort visibly skipped tasks" true (s.Pool.skipped > 0);
   check_int "skipped + executed accounts for every non-failing task" 511
     (s.Pool.skipped + Atomic.get executed)
@@ -310,7 +320,6 @@ let assert_all_backends_agree ?params ~shape group =
       (Jit.Openmp, Config.(with_workers 3 default));
       (Jit.Openmp, { Config.default with tile = Some [ 3; 5 ]; workers = 2 });
       (Jit.Openmp, { Config.default with multicolor = true });
-      (Jit.Openmp, { Config.default with schedule = Config.Dag_levels });
       (Jit.Opencl, Config.default);
       (Jit.Opencl, Config.(with_workers 2 default));
       (Jit.Opencl, { Config.default with tall_skinny = (2, 3) });
@@ -929,24 +938,25 @@ let test_pool_more_workers_than_tasks () =
 
 (* ---------------------------------------------------- schedule checker *)
 
+(* every conflict of a plan, rendered; [] iff the plan is race-free *)
+let conflict_messages config ~shape ~backend group =
+  List.concat_map
+    (fun (_, cs) -> List.map Schedule_check.conflict_to_string cs)
+    (Schedule_check.plan_conflicts (Plan.build config ~shape ~backend group))
+
 let test_checker_accepts_gsrb_plan () =
   let shape = iv [ 12; 12 ] in
   List.iter
     (fun config ->
-      let waves = Schedule_check.openmp_plan config ~shape (gsrb_group ()) in
-      match Schedule_check.check_waves waves with
-      | Ok () -> ()
-      | Error msg -> Alcotest.failf "gsrb plan rejected: %s" msg)
+      Alcotest.(check (list string)) "gsrb openmp plan" []
+        (conflict_messages config ~shape ~backend:`Openmp (gsrb_group ())))
     [
       Config.default;
       { Config.default with tile = Some [ 3; 3 ] };
       { Config.default with multicolor = true };
-      { Config.default with schedule = Config.Dag_levels };
     ];
-  let ocl = Schedule_check.opencl_plan Config.default ~shape (gsrb_group ()) in
-  match Schedule_check.check_waves ocl with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "opencl plan rejected: %s" msg
+  Alcotest.(check (list string)) "gsrb opencl plan" []
+    (conflict_messages Config.default ~shape ~backend:`Opencl (gsrb_group ()))
 
 let test_checker_rejects_bogus_wave () =
   (* two tiles of an in-place full-domain Gauss-Seidel placed in one wave
@@ -963,11 +973,12 @@ let test_checker_rejects_bogus_wave () =
   in
   let tiles = Tiling.split_outer ~chunks:2 rect in
   let wave =
-    List.map (fun t -> Schedule_check.{ stencil = s; tiles = [ t ] }) tiles
+    List.map
+      (fun t -> { Plan.members = [ s ]; tiles = [ t ]; parallel = true })
+      tiles
   in
-  match Schedule_check.check_wave wave with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "conflicting wave accepted"
+  check_bool "conflicting wave rejected" true
+    (Schedule_check.wave_conflicts wave <> [])
 
 let gs_in_place_1d () =
   Stencil.make ~label:"gs" ~output:"u"
@@ -983,7 +994,9 @@ let test_checker_collects_all_conflicts () =
   let rect = Domain.resolve_rect ~shape:(iv [ 41 ]) (List.hd s.Stencil.domain) in
   let tiles = Tiling.split_outer ~chunks:4 rect in
   let wave =
-    List.map (fun t -> Schedule_check.{ stencil = s; tiles = [ t ] }) tiles
+    List.map
+      (fun t -> { Plan.members = [ s ]; tiles = [ t ]; parallel = true })
+      tiles
   in
   let cs = Schedule_check.wave_conflicts wave in
   check_int "all six conflicts" 6 (List.length cs);
@@ -998,17 +1011,7 @@ let test_checker_collects_all_conflicts () =
       (List.map (fun c -> c.Schedule_check.kind) cs)
   in
   Alcotest.(check (list string)) "both directions" [ "read/write"; "write/read" ]
-    kinds;
-  (* the compat interface surfaces the surplus count *)
-  (match Schedule_check.check_wave wave with
-  | Error msg ->
-      let has_more =
-        let n = String.length msg in
-        let rec go i = i < n && (msg.[i] = '+' || go (i + 1)) in
-        go 0
-      in
-      check_bool "mentions remaining conflicts" true has_more
-  | Ok () -> Alcotest.fail "conflicting wave accepted")
+    kinds
 
 let test_checker_buckets_by_grid () =
   (* tasks whose footprints overlap cell-wise but live on different grids
@@ -1020,8 +1023,12 @@ let test_checker_buckets_by_grid () =
       ()
   in
   let t s =
-    Schedule_check.
-      { stencil = s; tiles = [ Domain.resolve_rect ~shape:(iv [ 20 ]) (List.hd s.Stencil.domain) ] }
+    {
+      Plan.members = [ s ];
+      tiles =
+        [ Domain.resolve_rect ~shape:(iv [ 20 ]) (List.hd s.Stencil.domain) ];
+      parallel = true;
+    }
   in
   check_int "disjoint grids clean" 0
     (List.length
@@ -1041,11 +1048,8 @@ let test_force_parallel_override () =
       tall_skinny = (2, 8);
     }
   in
-  (match
-     Schedule_check.check_waves (Schedule_check.openmp_plan config ~shape group)
-   with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "forced racy plan certified");
+  check_bool "forced racy plan rejected" true
+    (conflict_messages config ~shape ~backend:`Openmp group <> []);
   let code (d : Sf_analysis.Diagnostics.t) = d.Sf_analysis.Diagnostics.code in
   List.iter
     (fun backend ->
@@ -1144,14 +1148,195 @@ let random_plan_prop =
       let shape = iv [ 11; 13 ] in
       List.for_all
         (fun config ->
-          Schedule_check.check_waves
-            (Schedule_check.openmp_plan config ~shape group)
-          = Ok ())
-        [
-          Config.default;
-          { Config.default with tile = Some [ 2; 5 ] };
-          { Config.default with schedule = Config.Dag_levels };
-        ])
+          conflict_messages config ~shape ~backend:`Openmp group = [])
+        [ Config.default; { Config.default with tile = Some [ 2; 5 ] } ])
+
+(* ------------------------------------------------------ plan shapes
+
+   The parallel backends' decomposition, pinned per case: waves, member
+   count of every concurrent unit per wave, a digest of every unit's
+   members and tiles in order, the kernel description, and the argument
+   keys and task counts of the wave trace spans.  The differential fuzzer
+   cannot see a race-free change of decomposition (e.g. OpenCL enqueues
+   merged into greedy waves); this test does. *)
+
+let unsharp_group () =
+  let zero = Ivec.zero 2 in
+  let off a v =
+    let o = Ivec.zero 2 in
+    o.(a) <- v;
+    o
+  in
+  let mk label output expr ghost =
+    Stencil.make ~label ~output ~expr ~domain:(Domain.interior 2 ~ghost) ()
+  in
+  Group.make ~label:"unsharp"
+    [
+      mk "blur_x" "bx"
+        Expr.(
+          const (1. /. 3.)
+          *: (read "img" (off 1 (-1))
+             +: read "img" zero
+             +: read "img" (off 1 1)))
+        1;
+      mk "blur_y" "blur"
+        Expr.(
+          const (1. /. 3.)
+          *: (read "bx" (off 0 (-1)) +: read "bx" zero +: read "bx" (off 0 1)))
+        2;
+      mk "sharpen" "out"
+        Expr.(
+          read "img" zero
+          +: (const 1.5 *: (read "img" zero -: read "blur" zero)))
+        2;
+    ]
+
+let plan_digest (plan : Plan.t) =
+  let tile (r : Domain.resolved) =
+    Printf.sprintf "%s-%s-%s" (Ivec.to_string r.Domain.rlo)
+      (Ivec.to_string r.Domain.rhi)
+      (Ivec.to_string r.Domain.rstride)
+  in
+  let unit (u : Plan.task) =
+    Plan.label u ^ ":" ^ String.concat "," (List.map tile u.Plan.tiles)
+  in
+  plan.Plan.waves
+  |> List.map (fun wave ->
+         String.concat ";" (List.map unit (List.concat_map Plan.units wave)))
+  |> String.concat "|" |> Digest.string |> Digest.to_hex
+
+let test_plan_shapes_pinned () =
+  let ones n = List.init n (fun _ -> 1) in
+  let gsrb = Sf_hpgmg.Operators.gsrb_smooth and g3 = iv [ 18; 18; 18 ] in
+  let racy = Group.make ~label:"racy" [ gs_in_place_1d () ] in
+  let w2 =
+    { (Config.with_workers 2 Config.default) with Config.fusion = false }
+  in
+  let fused = { w2 with Config.fusion = true } in
+  let forced =
+    { w2 with Config.force_parallel = [ "gs" ]; tall_skinny = (2, 8) }
+  in
+  let omp_desc =
+    "openmp: 14 stencil(s) in 4 wave(s); 2 worker(s)\nwave 0: 0, 1, 2, 3, 4, \
+     5\nwave 1: 6\nwave 2: 7, 8, 9, 10, 11, 12\nwave 3: 13\n"
+  in
+  let ocl_desc = "opencl: 14 enqueue(s); tall-skinny 8x64; 2 compute unit(s)" in
+  let ocl_units = [ 2; 2; 1; 1; 2; 2; 4; 2; 2; 1; 1; 2; 2; 4 ] in
+  let omp_keys = [ "group"; "wave"; "points"; "tasks" ] in
+  let ocl_keys = [ "group"; "wave"; "stencil"; "points"; "tasks" ] in
+  let cases =
+    [
+      ( "gsrb openmp", `Openmp, w2, gsrb, g3,
+        List.map ones [ 48; 32; 48; 32 ],
+        "f7d030b0b8361aca8e27cfca59cd59df", omp_desc, omp_keys );
+      ( "gsrb opencl", `Opencl, w2, gsrb, g3, List.map ones ocl_units,
+        "0fd4313b8cacb2e788840958e770931e", ocl_desc, ocl_keys );
+      ( "gsrb openmp multicolor", `Openmp,
+        { w2 with Config.multicolor = true }, gsrb, g3,
+        List.map ones [ 48; 32; 48; 32 ],
+        "8d8eaa3fedf0cc24fc81fa023806a8a1", omp_desc, omp_keys );
+      ( "gsrb opencl multicolor", `Opencl,
+        { w2 with Config.multicolor = true }, gsrb, g3,
+        List.map ones ocl_units, "23fbae79f27f8dba19c78b4bc0435f59",
+        ocl_desc, ocl_keys );
+      ( "gsrb openmp tile", `Openmp,
+        { w2 with Config.tile = Some [ 8; 8; 8 ] }, gsrb, g3,
+        List.map ones [ 24; 4; 24; 4 ],
+        "a6121ce3cc46cd31ba2811f4f5f111bd", omp_desc, omp_keys );
+      ( "gsrb opencl tall_skinny", `Opencl,
+        { w2 with Config.tall_skinny = (2, 3) }, gsrb, g3,
+        List.map ones [ 48; 48; 6; 6; 8; 8; 48; 48; 48; 6; 6; 8; 8; 48 ],
+        "7222d1416ec20dcf09993e25662a9ff6",
+        "opencl: 14 enqueue(s); tall-skinny 2x3; 2 compute unit(s)",
+        ocl_keys );
+      ( "unsharp openmp fusion", `Openmp, fused, unsharp_group (),
+        iv [ 18; 18 ], [ ones 8; List.init 7 (fun _ -> 2) ],
+        "f6785fc1572342b4e6998eb089b05376",
+        "openmp+fusion: 3 stencil(s) as 2 cluster(s) in 2 wave(s); 2 \
+         worker(s); partition [blur_x][blur_y+sharpen]",
+        omp_keys @ [ "fused" ] );
+      ( "unsharp opencl fusion", `Opencl, fused, unsharp_group (),
+        iv [ 18; 18 ], [ [ 1; 1 ]; [ 2; 2 ] ],
+        "fb036f5806e0858d863576ce20559c8f",
+        "opencl+fusion: 3 stencil(s) as 2 enqueue(s); tall-skinny 8x64; 2 \
+         compute unit(s); partition [blur_x][blur_y+sharpen]",
+        ocl_keys );
+      ( "unsharp openmp", `Openmp, w2, unsharp_group (), iv [ 18; 18 ],
+        List.map ones [ 8; 7; 7 ], "5a82f9b7b58e75650b03d67a61c8d989",
+        "openmp: 3 stencil(s) in 3 wave(s); 2 worker(s)\nwave 0: 0\nwave 1: \
+         1\nwave 2: 2\n",
+        omp_keys );
+      ( "unsharp opencl", `Opencl, w2, unsharp_group (), iv [ 18; 18 ],
+        List.map ones [ 2; 2; 2 ], "edeb025f9d6d010ca78aa08bab1328fb",
+        "opencl: 3 enqueue(s); tall-skinny 8x64; 2 compute unit(s)", ocl_keys
+      );
+      ( "racy openmp force_parallel", `Openmp, forced, racy, iv [ 20 ],
+        [ ones 6 ], "b7785c89a91d2a13d51180ce4afa5044",
+        "openmp: 1 stencil(s) in 1 wave(s); 2 worker(s)\nwave 0: 0\n",
+        omp_keys );
+      ( "racy opencl force_parallel", `Opencl, forced, racy, iv [ 20 ],
+        [ ones 3 ], "5c20977b5b8e77ff01fd8ee1473cb843",
+        "opencl: 1 enqueue(s); tall-skinny 2x8; 2 compute unit(s)", ocl_keys
+      );
+      ( "racy openmp", `Openmp, w2, racy, iv [ 20 ], [ [ 1 ] ],
+        "9494750ee22ffaaff2fcd3215715375f",
+        "openmp: 1 stencil(s) in 1 wave(s); 2 worker(s)\nwave 0: 0\n",
+        omp_keys );
+      ( "racy opencl", `Opencl, w2, racy, iv [ 20 ], [ [ 1 ] ],
+        "9494750ee22ffaaff2fcd3215715375f",
+        "opencl: 1 enqueue(s); tall-skinny 8x64; 2 compute unit(s)", ocl_keys
+      );
+    ]
+  in
+  let module Trace = Sf_trace.Trace in
+  List.iter
+    (fun (name, backend, config, group, shape, units, digest, description, keys)
+       ->
+      let plan = Plan.build config ~shape ~backend group in
+      Alcotest.(check (list (list int)))
+        (name ^ ": members per unit per wave")
+        units
+        (List.map
+           (fun wave ->
+             List.map
+               (fun (u : Plan.task) -> List.length u.Plan.members)
+               (List.concat_map Plan.units wave))
+           plan.Plan.waves);
+      Alcotest.(check string) (name ^ ": tiles digest") digest
+        (plan_digest plan);
+      let kernel =
+        Jit.compile ~config
+          (match backend with `Openmp -> Jit.Openmp | `Opencl -> Jit.Opencl)
+          ~shape group
+      in
+      Alcotest.(check string) (name ^ ": description") description
+        kernel.Kernel.description;
+      let grids =
+        Grids.of_list
+          (List.map
+             (fun g -> (g, Mesh.random ~seed:1 shape))
+             (Group.grids group))
+      in
+      let params = List.map (fun p -> (p, 1.)) (Group.params group) in
+      Trace.clear ();
+      Trace.with_enabled true (fun () -> kernel.Kernel.run ~params grids);
+      let spans =
+        List.filter (fun (e : Trace.event) -> e.Trace.kind = Trace.Wave)
+          (Trace.events ())
+      in
+      Alcotest.(check (list (list string))) (name ^ ": wave span keys")
+        (List.map (fun _ -> keys) units)
+        (List.map (fun (e : Trace.event) -> List.map fst e.Trace.args) spans);
+      Alcotest.(check (list int)) (name ^ ": wave span tasks")
+        (List.map List.length units)
+        (List.map
+           (fun (e : Trace.event) ->
+             match List.assoc "tasks" e.Trace.args with
+             | Trace.Int n -> n
+             | _ -> -1)
+           spans))
+    cases;
+  Trace.clear ()
 
 (* ---------------------------------------------------------- jit passes *)
 
@@ -1181,7 +1366,7 @@ let test_fuse_pass_same_output () =
     Grids.find grids "out"
   in
   let plain = run Config.default in
-  let fused_result = run { Config.default with fuse = true } in
+  let fused_result = run { Config.default with inline_producers = true } in
   check_bool "fusion preserves results" true
     (Mesh.close ~ulps:0 plain fused_result)
 
@@ -1604,6 +1789,8 @@ let () =
           Alcotest.test_case "force_parallel certify" `Quick
             test_force_parallel_override;
           QCheck_alcotest.to_alcotest random_plan_prop;
+          Alcotest.test_case "plan shapes pinned" `Quick
+            test_plan_shapes_pinned;
         ] );
       ( "passes",
         [

@@ -186,6 +186,34 @@ let test_omp_emit_sequential_fallback () =
   check_bool "flagged sequential" true
     (contains src "sequential: loop-carried dependence")
 
+let test_omp_emit_fused_plan () =
+  (* the emitter walks the executed plan: under Config.fusion a blur and
+     the pointwise sharpen reading it become one task per tile in one
+     wave, where unfused they need a barrier between them *)
+  let dom = Domain.interior 2 ~ghost:1 in
+  let blur =
+    Stencil.make ~label:"blur" ~output:"tmp"
+      ~expr:Expr.(read "u" (iv [ -1; 0 ]) +: read "u" (iv [ 1; 0 ]))
+      ~domain:dom ()
+  in
+  let sharpen =
+    Stencil.make ~label:"sharpen" ~output:"out"
+      ~expr:Expr.(read "u" (iv [ 0; 0 ]) -: read "tmp" (iv [ 0; 0 ]))
+      ~domain:dom ()
+  in
+  let group = Group.make ~label:"unsharp" [ blur; sharpen ] in
+  let shape = iv [ 10; 10 ] in
+  let emit fusion =
+    Omp_emit.emit
+      ~config:{ Sf_backends.Config.default with Sf_backends.Config.fusion }
+      ~shape ~grid_shapes:(fun _ -> shape) group
+  in
+  let fused = emit true and unfused = emit false in
+  check_bool "fused cluster named" true
+    (contains fused "fused stencils blur+sharpen");
+  check_int "fused: one wave" 1 (count_occurrences fused "omp taskwait");
+  check_int "unfused: two waves" 2 (count_occurrences unfused "omp taskwait")
+
 (* ------------------------------------------------------------ ocl_emit *)
 
 let test_ocl_emit_structure () =
@@ -305,6 +333,7 @@ let () =
             test_omp_emit_sequential_fallback;
           Alcotest.test_case "index arithmetic" `Quick
             test_emitted_index_arithmetic;
+          Alcotest.test_case "fused plan" `Quick test_omp_emit_fused_plan;
         ] );
       ( "ocl",
         [

@@ -34,12 +34,12 @@ let test_waves () =
 let test_plan_conflict_free () =
   let t = Spmd.create ~rank_grid:[ 2; 2 ] ~local_n:4 in
   let group = Spmd.gsrb_smooth_group t in
-  match
-    Schedule_check.check_waves
-      (Schedule_check.openmp_plan Config.default ~shape:t.Spmd.shape group)
-  with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "spmd plan conflict: %s" msg
+  Alcotest.(check (list string)) "spmd plan conflicts" []
+    (List.concat_map
+       (fun (_, cs) -> List.map Schedule_check.conflict_to_string cs)
+       (Schedule_check.plan_conflicts
+          (Plan.build Config.default ~shape:t.Spmd.shape ~backend:`Openmp
+             group)))
 
 (* Reference single-domain run of the same (rank-unqualified) groups on a
    possibly non-cubic global box. *)

@@ -224,9 +224,9 @@ let test_fused_certify_clean () =
         = []))
     [ `Openmp; `Opencl ]
 
-(* ------------------------------------------------ fused conflict engine *)
+(* ------------------------------------------------------- conflict engine *)
 
-let test_fused_wave_conflicts_detects () =
+let test_multi_member_wave_conflicts () =
   let mk label output =
     Stencil.make ~label ~output
       ~expr:(Expr.read "v" (iv [ 0 ]))
@@ -238,19 +238,21 @@ let test_fused_wave_conflicts_detects () =
     Domain.resolve_rect ~shape:(iv [ 8 ]) (Domain.rect ~lo:[ lo ] ~hi:[ hi ] ())
   in
   (* overlapping fused tasks: both write u on [2,6) *)
-  let t1 = Schedule_check.{ members = [ a; b ]; ftiles = [ tile 0 6 ] } in
-  let t2 = Schedule_check.{ members = [ a ]; ftiles = [ tile 2 8 ] } in
-  (match Schedule_check.fused_wave_conflicts [ t1; t2 ] with
+  let task members lo hi =
+    { Plan.members; tiles = [ tile lo hi ]; parallel = true }
+  in
+  let t1 = task [ a; b ] 0 6 in
+  let t2 = task [ a ] 2 8 in
+  (match Schedule_check.wave_conflicts [ t1; t2 ] with
   | [ c ] ->
       check_string "labels" "a+b" c.Schedule_check.first_label;
       check_string "grid" "u" c.Schedule_check.grid;
       check_string "kind" "write/write" c.Schedule_check.kind
   | cs -> Alcotest.failf "expected 1 conflict, got %d" (List.length cs));
   (* disjoint fused tasks are clean *)
-  let t3 = Schedule_check.{ members = [ a; b ]; ftiles = [ tile 0 4 ] } in
-  let t4 = Schedule_check.{ members = [ a; b ]; ftiles = [ tile 4 8 ] } in
   check_int "disjoint clean" 0
-    (List.length (Schedule_check.fused_wave_conflicts [ t3; t4 ]))
+    (List.length
+       (Schedule_check.wave_conflicts [ task [ a; b ] 0 4; task [ a; b ] 4 8 ]))
 
 let test_certify_fused_sf023 () =
   (* both stencils cover an overlapping two-rect domain union and are
@@ -555,7 +557,7 @@ let () =
           Alcotest.test_case "fused certify clean" `Quick
             test_fused_certify_clean;
           Alcotest.test_case "fused conflict engine" `Quick
-            test_fused_wave_conflicts_detects;
+            test_multi_member_wave_conflicts;
           Alcotest.test_case "SF023 on racy fused plan" `Quick
             test_certify_fused_sf023;
         ] );
