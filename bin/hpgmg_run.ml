@@ -223,7 +223,8 @@ let run n cycles backend_name workers variable fcycle interp_linear profile
   if profile then begin
     Printf.printf "\nsmoother plan: %s\n" (Mg.smoother_plan solver);
     print_endline "\ntrace summary (roofline-joined):";
-    Sf_trace.Report.print_summary ()
+    Sf_trace.Report.print_summary ();
+    print_endline (Sf_backends.Native.describe ())
   end;
   match trace_file with
   | Some path ->

@@ -69,6 +69,16 @@ let run_proto ~seed ~count ~sessions ~steps ~corpus_dir ~replay_dir ~watchdog
         report.Sf_proto_fuzz.Proto_fuzz.failures;
       exit (Sf_proto_fuzz.Proto_fuzz.report_exit_code report)
 
+(* The native column's line prints even with -q: a host without gcc
+   must say that the column was skipped, not pass silently. *)
+let print_native = function
+  | None -> ()
+  | Some (n : Sf_fuzz.Diff.native_check) ->
+      Printf.printf "sffuzz: %s\n%!" n.Sf_fuzz.Diff.summary;
+      List.iter
+        (fun (label, detail) -> Printf.printf "FAILURE (%s): %s\n%!" label detail)
+        n.Sf_fuzz.Diff.native_failures
+
 let run seed count max_dims backend ulps atol shrink max_shrink_evals
     corpus_dir oracles inject replay_dir proto sessions steps watchdog quiet =
   if proto then
@@ -127,7 +137,9 @@ let run seed count max_dims backend ulps atol shrink max_shrink_evals
         log (Printf.sprintf "no corpus files under %s" dir);
         exit 0
       end;
-      let failed = Sf_fuzz.Driver.replay_paths ~ulps ~atol ?only ~log files in
+      let failed, native = Sf_fuzz.Driver.replay_paths ~ulps ~atol ?only ~log files in
+      let failed = failed @ Sf_fuzz.Driver.native_failures native in
+      print_native native;
       log
         (Printf.sprintf "replayed %d corpus file(s), %d failure(s)"
            (List.length files) (List.length failed));
@@ -161,8 +173,11 @@ let run seed count max_dims backend ulps atol shrink max_shrink_evals
               None
           | Error msg -> Some msg
       in
+      let native_failed = Sf_fuzz.Driver.native_failures report.Sf_fuzz.Driver.native in
+      print_native report.Sf_fuzz.Driver.native;
       let n_fail =
         List.length report.Sf_fuzz.Driver.failures
+        + List.length native_failed
         + if pipeline_failure = None then 0 else 1
       in
       log

@@ -346,44 +346,37 @@ type prep = {
   spare : block Atomic.t;
       (* the block left by the last finished tile, or [no_block]: tiles of
          one stencil share scratch instead of each owning a copy *)
+  native : Native.prepared;  (* the same stencil as gcc-compiled C *)
+  tiered : bool;  (* false: the row evaluator only *)
 }
 
 let no_block = { bufs = [||]; gpos = [||]; ginc = [||]; grow = [||]; rows = 0; len = 0 }
 
-let prepare_poly grids (s : Stencil.t) (poly : Polyform.t) =
-  let groups = ref [] in
-  let group_index (g, (m : Affine.t)) =
-    let key = (g, Ivec.to_list m.Affine.scale) in
-    match List.assoc_opt key !groups with
-    | Some idx -> idx
-    | None ->
-        let idx = List.length !groups in
-        groups := (key, idx) :: !groups;
-        idx
-  in
+let prepare_poly ~tiered grids (s : Stencil.t) (poly : Polyform.t) =
+  let f = Polyform.factorize poly in
+  let native = Native.prepare grids s f in
+  let l = Native.layout native and deltas = Native.deltas native in
   let out_mesh = Grids.find grids s.Stencil.output in
   let out_data = Mesh.data out_mesh in
   let out_reads = ref [] in
-  let tap ((g, (m : Affine.t)) as r) =
-    let mesh = Grids.find grids g in
-    let t =
-      { a = Mesh.data mesh; g = group_index r;
-        d = Ivec.dot (Mesh.strides mesh) m.Affine.offset }
-    in
+  let tap r =
+    let i = Native.tap_index l r in
+    let (g, _), _, group = l.Native.taps.(i) in
+    let t = { a = Mesh.data (Grids.find grids g); g = group; d = deltas.(i) } in
     if t.a == out_data then out_reads := (t.g, t.d) :: !out_reads;
     t
   in
-  let root, depth = compile_node ~tap ~depth:0 (Polyform.factorize poly) in
+  let root, depth = compile_node ~tap ~depth:0 f in
   (* exactly one entry per group: a zero-read (constant) stencil has an
      empty group table *)
-  let gmeta = Array.make (List.length !groups) ([||], [||]) in
-  List.iter
-    (fun ((g, scale), idx) ->
-      gmeta.(idx) <- (Mesh.strides (Grids.find grids g), Array.of_list scale))
-    !groups;
+  let gmeta =
+    Array.map
+      (fun (g, scale) -> (Mesh.strides (Grids.find grids g), scale))
+      l.Native.groups
+  in
   { gmeta; root; depth; out_reads = !out_reads; out_data;
     out_strides = Mesh.strides out_mesh; out_map = s.Stencil.out_map;
-    spare = Atomic.make no_block }
+    spare = Atomic.make no_block; native; tiered }
 
 (* Take the spare block if its scratch rows hold [size] cells, else make
    one; under concurrent tiles the loser of the race makes its own. *)
@@ -501,7 +494,7 @@ let instantiate_poly prep rect =
       end
     end
   in
-  fun () ->
+  let row () =
     let b = take_block prep ~size:(rows * cells) in
     let res = b.bufs.(0) in
     for g = 0 to ngroups - 1 do
@@ -546,19 +539,30 @@ let instantiate_poly prep rect =
       bump (mid - 1)
     done;
     Atomic.set prep.spare b
+  in
+  if not prep.tiered then row
+  else
+    let geo =
+      Native.geometry prep.native ~counts:cnt ~out_base ~out_inc ~gbase ~ginc
+    in
+    let cells = Ivec.product cnt in
+    fun () -> Native.run prep.native geo ~cells row
 
 let nop () = ()
 
-let prepare_compiled grids ~params (s : Stencil.t) =
+let prepare ~tiered grids ~params (s : Stencil.t) =
   match Polyform.of_expr ~params s.Stencil.expr with
   | Some poly ->
-      let prep = prepare_poly grids s poly in
+      let prep = prepare_poly ~tiered grids s poly in
       fun rect ->
         if Domain.is_empty rect then nop else instantiate_poly prep rect
   | None ->
       fun rect () ->
         if not (Domain.is_empty rect) then
           run_rect_closure grids ~params s rect
+
+let prepare_compiled = prepare ~tiered:true
+let prepare_row = prepare ~tiered:false
 
 let run_rect_compiled grids ~params s rect =
   (prepare_compiled grids ~params s) rect ()

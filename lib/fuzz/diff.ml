@@ -242,3 +242,93 @@ let injected_target bug =
     tname = buggy_name;
     apps = (match bug with Mis_skew_tile -> 2 | _ -> 1);
   }
+
+(* ------------------------------------------------------- native column *)
+
+(* The group's stencils in order, each over its rects: the compiled
+   backend's execution, with the tier chosen by [prepare]. *)
+let run_stencils ~prepare spec =
+  let grids = Gen.build_grids spec in
+  let params = Kernel.param_lookup spec.Gen.params in
+  List.iter
+    (fun (s : Stencil.t) ->
+      Exec.validate_stencil grids ~shape:spec.Gen.shape s;
+      let instantiate = prepare grids ~params s in
+      List.iter
+        (fun rect -> instantiate rect ())
+        (Domain.resolve ~shape:spec.Gen.shape s.Stencil.domain))
+    (Group.stencils spec.Gen.group);
+  grids
+
+let bitwise_mismatch ~target reference got =
+  let rec go = function
+    | [] -> Ok ()
+    | name :: rest -> (
+        let a = Mesh.data (Grids.find reference name)
+        and b = Mesh.data (Grids.find got name) in
+        let rec cell i =
+          if i >= Float.Array.length a then None
+          else if
+            Int64.bits_of_float (Float.Array.get a i)
+            <> Int64.bits_of_float (Float.Array.get b i)
+          then Some i
+          else cell (i + 1)
+        in
+        match cell 0 with
+        | None -> go rest
+        | Some i ->
+            Error
+              {
+                target;
+                grid = name;
+                point = [ i ];
+                expected = Float.Array.get a i;
+                got = Float.Array.get b i;
+                crashed = None;
+              })
+  in
+  go (Grids.names reference)
+
+type native_check = { summary : string; native_failures : (string * string) list }
+
+let check_native ?(ulps = 512) ?(atol = 1e-11) labelled =
+  (* the row evaluator first: it registers every structure, which one
+     synchronous build then compiles *)
+  let rows =
+    List.map
+      (fun (label, spec) -> (label, spec, run_stencils ~prepare:Exec.prepare_row spec))
+      labelled
+  in
+  match Native.compile_pending () with
+  | Error f -> (
+      match Native.skipped f with
+      | Some line -> { summary = line; native_failures = [] }
+      | None ->
+          let reason = Native.failure_to_string f in
+          { summary = "native: build FAILED"; native_failures = [ ("native build", reason) ] })
+  | Ok origin ->
+      let before = (Native.stats ()).Native.native_cells in
+      let check (label, spec, row) =
+        let fail (d : divergence) = Some (label, divergence_to_string d) in
+        match run_stencils ~prepare:Exec.prepare_compiled spec with
+        | exception e ->
+            Some (label, "native crashed: " ^ Printexc.to_string e)
+        | got -> (
+            match bitwise_mismatch ~target:"native vs compiled (bitwise)" row got with
+            | Error d -> fail d
+            | Ok () -> (
+                match compare_grids ~ulps ~atol ~target:"native" (run_reference spec) got with
+                | Error d -> fail d
+                | Ok () -> None))
+      in
+      let native_failures = List.filter_map check rows in
+      {
+        summary =
+          Printf.sprintf
+            "native: %d program(s) against compiled (bitwise) and interp, %d \
+             cell(s) run natively, one build (%s)"
+            (List.length rows)
+            ((Native.stats ()).Native.native_cells - before)
+            (match origin with Native.Disk -> "disk cache" | Native.Built -> "gcc");
+        native_failures;
+      }

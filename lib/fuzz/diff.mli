@@ -89,3 +89,22 @@ type bug =
 val injected_target : bug -> target
 (** Registers (or re-registers) the buggy micro-compiler under the name
     ["sffuzz-buggy"] and returns a target selecting it. *)
+
+(** {2 The native column}
+
+    The native tier is bitwise equal to the row evaluator by design, so
+    its column is held to that: every polynomial stencil of the given
+    programs is built with one synchronous gcc invocation
+    ([Native.compile_pending]), each program then runs on the native tier
+    and must equal the row evaluator ([compiled]) bit for bit and interp
+    within the tolerance. *)
+
+type native_check = {
+  summary : string;
+      (** one line: what was checked, or ["native: skipped (no gcc)"] and
+          the like when this host cannot build *)
+  native_failures : (string * string) list;  (** (label, detail) *)
+}
+
+val check_native :
+  ?ulps:int -> ?atol:float -> (string * Gen.spec) list -> native_check

@@ -38,7 +38,11 @@ type failure = {
   corpus_file : string option;
 }
 
-type report = { tested : int; failures : failure list }
+type report = {
+  tested : int;
+  failures : failure list;
+  native : Diff.native_check option;
+}
 
 let targets opts ~dims =
   let base = Diff.targets_for ~only:opts.only ~dims in
@@ -81,12 +85,19 @@ let handle_divergence opts spec d =
   in
   { original = spec; minimised; detail; corpus_file }
 
+(* The native column joins full campaigns (no backend filter) only. *)
+let native opts labelled =
+  match opts.only with
+  | Some _ -> None
+  | None -> Some (Diff.check_native ~ulps:opts.ulps ~atol:opts.atol labelled)
+
 let run opts =
   Sf_backends.Jit.clear_cache ();
-  let failures = ref [] in
+  let failures = ref [] and specs = ref [] in
   for i = 0 to opts.count - 1 do
     let seed = opts.seed + i in
     let spec = Gen.spec ~max_dims:opts.max_dims ~seed () in
+    specs := (Printf.sprintf "seed %d" seed, spec) :: !specs;
     (match check_spec opts spec with
     | Ok () -> ()
     | Error d -> failures := handle_divergence opts spec d :: !failures);
@@ -105,18 +116,33 @@ let run opts =
         (Printf.sprintf "%d/%d programs, %d failure(s)" (i + 1) opts.count
            (List.length !failures))
   done;
-  { tested = opts.count; failures = List.rev !failures }
+  { tested = opts.count; failures = List.rev !failures; native = native opts (List.rev !specs) }
 
-let replay_paths ?ulps ?atol ?only ?(log = ignore) paths =
-  List.filter_map
-    (fun path ->
-      match Corpus.replay ?ulps ?atol ?only path with
-      | Ok () ->
-          log (Printf.sprintf "replayed %s: ok" path);
-          None
-      | Error e ->
-          log (Printf.sprintf "replay FAILED: %s" e);
-          Some (path, e))
-    paths
+let replay_paths ?(ulps = default_options.ulps) ?(atol = default_options.atol)
+    ?only ?(log = ignore) paths =
+  let failed =
+    List.filter_map
+      (fun path ->
+        match Corpus.replay ~ulps ~atol ?only path with
+        | Ok () ->
+            log (Printf.sprintf "replayed %s: ok" path);
+            None
+        | Error e ->
+            log (Printf.sprintf "replay FAILED: %s" e);
+            Some (path, e))
+      paths
+  in
+  let native =
+    native { default_options with ulps; atol; only }
+      (List.filter_map
+         (fun path -> Result.to_option (Result.map (fun s -> (path, s)) (Corpus.load path)))
+         paths)
+  in
+  (failed, native)
 
-let report_exit_code r = if r.failures = [] then 0 else 1
+let native_failures = function
+  | None -> []
+  | Some n -> n.Diff.native_failures
+
+let report_exit_code r =
+  if r.failures = [] && native_failures r.native = [] then 0 else 1

@@ -33,7 +33,13 @@ type failure = {
   corpus_file : string option;
 }
 
-type report = { tested : int; failures : failure list }
+type report = {
+  tested : int;
+  failures : failure list;
+  native : Diff.native_check option;
+      (** the native column ({!Diff.check_native}) over every generated
+          program; run only without a backend filter ([only = None]) *)
+}
 
 val run : options -> report
 (** The campaign.  Deterministic for fixed options (modulo filesystem
@@ -41,8 +47,11 @@ val run : options -> report
 
 val replay_paths :
   ?ulps:int -> ?atol:float -> ?only:string list -> ?log:(string -> unit) ->
-  string list -> (string * string) list
-(** Replay corpus files; returns [(path, error)] for each failure. *)
+  string list -> (string * string) list * Diff.native_check option
+(** Replay corpus files; returns [(path, error)] for each failure, and
+    the native column over all of them (without a backend filter). *)
+
+val native_failures : Diff.native_check option -> (string * string) list
 
 val report_exit_code : report -> int
-(** 0 when clean, 1 when any failure. *)
+(** 0 when clean, 1 when any failure (native column included). *)

@@ -12,6 +12,11 @@
     - ["mg"] — a multigrid phase (detail: the profile key, e.g.
       ["smooth L0"])
     - ["rank"] — [Spmd] rank death (detail: rank name)
+    - ["native-compile"] — the native tier, before gcc starts (detail: the
+      cache key); firing fails the build and the stencil stays on the row
+      evaluator
+    - ["native-load"] — the native tier, before dlopen (detail: the
+      shared object's path); same outcome
 
     A {e clause} arms one (site, kind) pair with optional occurrence and
     probability triggers.  Specs come from [SF_FAULTS] (parsed at load

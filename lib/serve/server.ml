@@ -12,6 +12,7 @@ open Sf_util
 module Jit = Sf_backends.Jit
 module Config = Sf_backends.Config
 module Supervise = Sf_backends.Supervise
+module Native = Sf_backends.Native
 module Fault = Sf_resilience.Fault
 module Guard = Sf_resilience.Guard
 module Supervisor = Sf_resilience.Supervisor
@@ -619,6 +620,22 @@ let stats_json t =
                ("depth", num depth);
                ("hwm", num (Slo.gauge_hwm t.depth_gauge));
                ("tickets", num tickets);
+             ] );
+         ( "native",
+           let n = Native.stats () in
+           Json.Obj
+             [
+               ("native_cells", num n.Native.native_cells);
+               ("row_cells", num n.Native.row_cells);
+               ("native_share", Json.Num (Native.native_share n));
+               ("structures", num n.Native.structures);
+               ("native_structures", num n.Native.native_structures);
+               ("promotions", num n.Native.promotions);
+               ("disk_hits", num n.Native.disk_hits);
+               ("builds", num n.Native.builds);
+               ("failures", num n.Native.failures);
+               ( "fallback",
+                 match n.Native.fallback with Some r -> Json.Str r | None -> Json.Null );
              ] );
          ("series", Json.Arr series);
          ("tenants", Json.Arr tenants);

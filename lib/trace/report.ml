@@ -109,6 +109,26 @@ let counters_line () =
         c.Trace.channel_sends c.Trace.channel_stalls
   else base
 
+let counters_line () =
+  let c = Trace.counters () in
+  let base = counters_line () in
+  (* only sessions that touched the native tier grow the native segment;
+     its share is of all cells the kernels updated *)
+  if c.Trace.native_promotions + c.Trace.native_cells + c.Trace.native_failures > 0
+  then
+    base
+    ^ Printf.sprintf
+        "; native %d cell(s) (%.1f%%), %d promotion(s), %d disk hit(s), %d \
+         failure(s)"
+        c.Trace.native_cells
+        (if c.Trace.cells_updated = 0 then 0.
+         else
+           100. *. float_of_int c.Trace.native_cells
+           /. float_of_int c.Trace.cells_updated)
+        c.Trace.native_promotions c.Trace.native_disk_hits
+        c.Trace.native_failures
+  else base
+
 let print_summary ?machine () =
   print_string (summary_table ?machine ());
   print_newline ();

@@ -64,6 +64,10 @@ type counter =
   | Tune_db_misses
   | Channel_sends
   | Channel_stalls
+  | Native_promotions
+  | Native_disk_hits
+  | Native_failures
+  | Native_cells
 
 let cells_c = Atomic.make 0
 let chunks_c = Atomic.make 0
@@ -82,6 +86,10 @@ let tune_hits_c = Atomic.make 0
 let tune_misses_c = Atomic.make 0
 let chan_sends_c = Atomic.make 0
 let chan_stalls_c = Atomic.make 0
+let native_promotions_c = Atomic.make 0
+let native_disk_hits_c = Atomic.make 0
+let native_failures_c = Atomic.make 0
+let native_cells_c = Atomic.make 0
 
 let cell_of = function
   | Cells_updated -> cells_c
@@ -101,6 +109,10 @@ let cell_of = function
   | Tune_db_misses -> tune_misses_c
   | Channel_sends -> chan_sends_c
   | Channel_stalls -> chan_stalls_c
+  | Native_promotions -> native_promotions_c
+  | Native_disk_hits -> native_disk_hits_c
+  | Native_failures -> native_failures_c
+  | Native_cells -> native_cells_c
 
 let add c n = if on () then ignore (Atomic.fetch_and_add (cell_of c) n)
 
@@ -122,6 +134,10 @@ type counters = {
   tune_db_misses : int;
   channel_sends : int;
   channel_stalls : int;
+  native_promotions : int;
+  native_disk_hits : int;
+  native_failures : int;
+  native_cells : int;
 }
 
 let counters () =
@@ -143,6 +159,10 @@ let counters () =
     tune_db_misses = Atomic.get tune_misses_c;
     channel_sends = Atomic.get chan_sends_c;
     channel_stalls = Atomic.get chan_stalls_c;
+    native_promotions = Atomic.get native_promotions_c;
+    native_disk_hits = Atomic.get native_disk_hits_c;
+    native_failures = Atomic.get native_failures_c;
+    native_cells = Atomic.get native_cells_c;
   }
 
 (* -------------------------------------------------------- roofline join *)
@@ -336,6 +356,10 @@ let counter_event ~ts =
             ("tune_db_misses", Json.Num (float_of_int c.tune_db_misses));
             ("channel_sends", Json.Num (float_of_int c.channel_sends));
             ("channel_stalls", Json.Num (float_of_int c.channel_stalls));
+            ("native_promotions", Json.Num (float_of_int c.native_promotions));
+            ("native_disk_hits", Json.Num (float_of_int c.native_disk_hits));
+            ("native_failures", Json.Num (float_of_int c.native_failures));
+            ("native_cells", Json.Num (float_of_int c.native_cells));
           ] );
     ]
 

@@ -106,6 +106,12 @@ type counter =
   | Channel_stalls
       (** scheduler passes in which a runnable pipeline node waited on
           ring space or data (back-pressure visibility) *)
+  | Native_promotions
+      (** stencil structures promoted to the native tier (sf_backends
+          [Native]) *)
+  | Native_disk_hits  (** native builds loaded from the on-disk cache *)
+  | Native_failures  (** native builds or loads that failed *)
+  | Native_cells  (** lattice points updated by gcc-compiled kernels *)
 
 val add : counter -> int -> unit
 (** Atomic increment; no-op when tracing is disabled (callers in hot paths
@@ -129,6 +135,10 @@ type counters = {
   tune_db_misses : int;
   channel_sends : int;
   channel_stalls : int;
+  native_promotions : int;
+  native_disk_hits : int;
+  native_failures : int;
+  native_cells : int;
 }
 
 val counters : unit -> counters

@@ -80,6 +80,43 @@ let () =
   Printf.printf "chaos: clean norms %.3e (compiled) / %.3e (openmp)\n%!"
     clean_norm clean_omp;
 
+  (* 0. the native tier: a failing build (native-compile: gcc never
+     starts) or load (native-load: dlopen refused) must leave the solve on
+     the row evaluator, healed, with the failure counted.  One cycle
+     registers the solve's stencil structures, a synchronous build of
+     them fails under the fault, and the remaining cycles run on. *)
+  List.iter
+    (fun (name, spec) ->
+      reset ();
+      Printf.printf "chaos: %-28s %s\n%!" name spec;
+      Fault.arm_exn spec;
+      let config =
+        { Mg.default_config with backend = Jit.Compiled; jit = Config.with_workers 1 Config.default }
+      in
+      let solver = Mg.create ~config ~n:16 () in
+      Problem.setup_poisson (Mg.finest solver);
+      ignore (Mg.solve_resilient ~cycles:1 solver);
+      let before = Native.stats () in
+      (match Native.compile_pending () with
+      | Ok _ -> fail "%s: the build succeeded under the fault" name
+      | Error f ->
+          Printf.printf "  build failed: %s\n%!" (Native.failure_to_string f));
+      let norms = Mg.solve_resilient ~cycles:(cycles - 1) solver in
+      let r = norms.(Array.length norms - 1) and after = Native.stats () in
+      Fault.disarm ();
+      require (name ^ ": failure counted") (after.Native.failures > before.Native.failures);
+      require (name ^ ": no cell ran natively")
+        (after.Native.native_cells = before.Native.native_cells);
+      if not (Float.is_finite r && r <= 2. *. clean_norm) then
+        fail "%s: residual %.3e vs clean %.3e" name r clean_norm
+      else
+        Printf.printf "  healed on the row evaluator: residual %.3e (clean %.3e), %d injected\n%!"
+          r clean_norm (Fault.injected_total ()))
+    [
+      ("native compile -> row", "native-compile:raise");
+      ("native load -> row", "native-load:raise");
+    ];
+
   (* 1. persistent kernel raise on the primary backend: every openmp
      kernel invocation dies, the supervisor must fail the whole campaign
      over to the next backend in the chain *)

@@ -235,6 +235,15 @@ let () =
   (match Json.member "tenants" doc with
   | Some (Json.Arr (_ :: _)) -> ()
   | _ -> die "STATS has no tenants array");
+  (* the native tier's figures: a share of cells and the reason for any
+     fallback (null when nothing failed) *)
+  let native = Json.member "native" doc in
+  (match Option.bind native (Json.member "native_share") with
+  | Some (Json.Num f) when f >= 0. && f <= 1. -> ()
+  | _ -> die "STATS has no native.native_share");
+  (match Option.bind native (Json.member "fallback") with
+  | Some (Json.Str _ | Json.Null) -> ()
+  | _ -> die "STATS has no native.fallback");
   Printf.printf "serve_check: STATS ok (jit hits = %d)\n%!" jit_hits;
 
   (* --- 4. SHUTDOWN: BYE, daemon exit 0, stats dump parses --- *)
