@@ -109,8 +109,7 @@ let run n cycles backend_name workers variable fcycle interp_linear profile
   let jit_base =
     {
       (Config.with_workers workers Config.default) with
-      Config.trace = profile || trace_file <> None || Config.default_trace;
-      fusion = not no_fusion;
+      Config.fusion = not no_fusion;
       time_tile = (if time_tile > 0 then time_tile else Config.default.Config.time_tile);
     }
   in
@@ -121,34 +120,9 @@ let run n cycles backend_name workers variable fcycle interp_linear profile
   let jit =
     if not autotune then jit_base
     else begin
-      let level = Level.create ~n in
-      let shape = level.Level.shape in
-      let reps = Mg.default_config.Mg.smooths in
-      let group = Operators.gsrb_smooth in
-      let measure cfg =
-        let p = Autotune.plan_of_config cfg in
-        let kernel =
-          if p.Autotune.time_tile > 1 then
-            Jit.compile_time_tiled ~config:cfg ~reps backend ~shape group
-          else Jit.compile ~config:cfg backend ~shape group
-        in
-        let apps = if p.Autotune.time_tile > 1 then 1 else reps in
-        let once () =
-          for _ = 1 to apps do
-            kernel.Kernel.run ~params:(Level.params level) level.Level.grids
-          done
-        in
-        once ();
-        (* warm: JIT + pool spin-up *)
-        let best = ref infinity in
-        for _ = 1 to 3 do
-          let t0 = Unix.gettimeofday () in
-          once ();
-          best := Float.min !best (Unix.gettimeofday () -. t0)
-        done;
-        !best
+      let r, _ =
+        Sf_harness.Experiments.tune_smoother ~config:jit_base ~backend ~n ()
       in
-      let r = Autotune.tune ~config:jit_base ~backend ~shape ~reps ~measure group in
       Printf.printf "autotune: %s (%s%s)\n%!"
         (Autotune.describe r.Autotune.plan)
         (Autotune.source_to_string r.Autotune.source)

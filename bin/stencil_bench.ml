@@ -18,7 +18,7 @@ let operators =
     ("gsrb", Operators.gsrb_smooth, Bound.bytes_vc_gsrb);
   ]
 
-let run op_name n backend_name workers repeats tile autotune trace_file =
+let run op_name n backend_name workers repeats tile trace_file =
   let _, group, bytes =
     match List.find_opt (fun (nm, _, _) -> nm = op_name) operators with
     | Some x -> x
@@ -67,20 +67,6 @@ let run op_name n backend_name workers repeats tile autotune trace_file =
     bw bytes
     (Bound.stencils_per_second ~machine:host ~bytes_per_stencil:bytes /. 1e6);
   Printf.printf "kernel plan: %s\n" kernel.Kernel.description;
-  if autotune then begin
-    let result =
-      Sf_harness.Tune.best ~repeats ~backend ~shape:level.Level.shape
-        ~params:(Level.params level) ~grids:level.Level.grids group
-    in
-    let tuned = result.Sf_harness.Tune.config in
-    Printf.printf
-      "autotuned: %.4f s with tile=%s multicolor=%b (vs %.4f s untuned)\n"
-      result.Sf_harness.Tune.time
-      (match tuned.Config.tile with
-      | None -> "outer-chunks"
-      | Some t -> String.concat "x" (List.map string_of_int t))
-      tuned.Config.multicolor dt
-  end;
   match trace_file with
   | Some path ->
       Sf_trace.Trace.write_chrome_json path;
@@ -104,9 +90,6 @@ let repeats_arg = Arg.(value & opt int 3 & info [ "repeats" ] ~doc:"Timing repea
 let tile_arg =
   Arg.(value & opt (list int) [] & info [ "tile" ] ~doc:"Explicit tile sizes, e.g. 8,8,64.")
 
-let autotune_arg =
-  Arg.(value & flag & info [ "autotune" ] ~doc:"Search tile/multicolor candidates and report the best.")
-
 let trace_arg =
   Arg.(
     value
@@ -119,6 +102,6 @@ let cmd =
     (Cmd.info "stencil_bench" ~doc:"Time one stencil operator on one backend")
     Term.(
       const run $ op_arg $ n_arg $ backend_arg $ workers_arg $ repeats_arg
-      $ tile_arg $ autotune_arg $ trace_arg)
+      $ tile_arg $ trace_arg)
 
 let () = exit (Cmd.eval cmd)

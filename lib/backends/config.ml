@@ -8,8 +8,6 @@ type t = {
   serial_cutoff : int;
   certify : bool;
   force_parallel : string list;
-  trace : bool;
-  faults : string option;
   fusion : bool;
   time_tile : int;
   time_block : int;
@@ -37,13 +35,6 @@ let env_flag name =
 let default_workers = env_int "SF_WORKERS" 1
 let default_serial_cutoff = env_int "SF_SERIAL_CUTOFF" 1024
 let default_certify = env_flag "SF_VALIDATE"
-let default_trace = env_flag "SF_TRACE"
-
-let default_faults =
-  match Sys.getenv_opt "SF_FAULTS" with
-  | Some s when String.trim s <> "" -> Some s
-  | _ -> None
-
 let default_fusion = env_flag "SF_FUSION"
 let default_pipe_budget = env_int "SF_PIPE_BUDGET" (1 lsl 26)
 
@@ -58,8 +49,6 @@ let default =
     serial_cutoff = default_serial_cutoff;
     certify = default_certify;
     force_parallel = [];
-    trace = default_trace;
-    faults = default_faults;
     fusion = default_fusion;
     time_tile = 1;
     time_block = 0;

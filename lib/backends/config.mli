@@ -35,16 +35,6 @@ type t = {
       (** stencil labels asserted safe to tile in parallel even when the
           analysis cannot prove them point-parallel — a user override;
           [certify] is the safety net that catches a wrong assertion *)
-  trace : bool;
-      (** switch the process-global [Sf_trace] substrate on at
-          [Jit.compile] time (equivalent to [SF_TRACE=1]); kernels are
-          always *instrumented* — this flag only flips the recording
-          gate, which costs one atomic load per site when off *)
-  faults : string option;
-      (** fault-injection spec armed at [Jit.compile] time (the [--faults]
-          CLI flag / [SF_FAULTS]; grammar in [Sf_resilience.Fault]);
-          [None] leaves the current arming untouched, so a spec armed via
-          the environment at load time stays in force *)
   fusion : bool;
       (** cross-wave sweep fusion ([Fusion]): partition the group into
           clusters of provably cofusible stencils and execute each cluster
@@ -82,13 +72,6 @@ val default_certify : bool
 (** [SF_VALIDATE] from the environment ([1]/[true]/[yes]/[on]), else
     false. *)
 
-val default_trace : bool
-(** [SF_TRACE] from the environment ([1]/[true]/[yes]/[on]), else
-    false. *)
-
-val default_faults : string option
-(** [SF_FAULTS] from the environment when non-empty, else [None]. *)
-
 val default_fusion : bool
 (** [SF_FUSION] from the environment ([1]/[true]/[yes]/[on]), else
     false. *)
@@ -102,7 +85,6 @@ val default : t
     inlining, no DCE,
     [serial_cutoff] = {!default_serial_cutoff},
     [certify] = {!default_certify}, no forced-parallel overrides,
-    [trace] = {!default_trace}, [faults] = {!default_faults},
     [fusion] = {!default_fusion}, [time_tile = 1] (off),
     [time_block = 0] (auto). *)
 

@@ -58,14 +58,45 @@ let registered_backends () =
       Hashtbl.fold (fun name _ acc -> name :: acc) registry [])
   |> List.sort String.compare
 
+(* A cache entry is identified by the group itself, not by its hash:
+   [Group.hash] hashes float coefficients to 30 bits, so two different
+   programs can share a hash, and a key holding only the hash would hand
+   one program the other's kernel.  The hash only picks the bucket; a hit
+   needs the groups physically or structurally equal. *)
 type key = {
   backend : backend;
   shape : int list;
-  group_hash : int;
+  group : Group.t;
   config : Config.t;
 }
 
-let cache : (key, Kernel.t) Hashtbl.t = Hashtbl.create 64
+module Key = struct
+  type t = key
+
+  let hash k =
+    Hashc.combine (Group.hash k.group)
+      (Hashtbl.hash (backend_name k.backend, k.shape, k.config))
+
+  let equal a b =
+    a.backend = b.backend && a.shape = b.shape && a.config = b.config
+    && (a.group == b.group || Group.equal a.group b.group)
+end
+
+module Cache = Hashtbl.Make (Key)
+
+(* The key [compile] ([reps = 1]) or [compile_time_tiled] uses: time-tiled
+   entries live under a pseudo-backend, with [Config.time_tile] carrying
+   [reps]. *)
+let key_of ~config ~reps backend ~shape group =
+  let backend, config =
+    if reps > 1 then
+      ( Custom ("timetile:" ^ backend_name backend),
+        { config with Config.time_tile = reps } )
+    else (backend, config)
+  in
+  { backend; shape = Ivec.to_list shape; group; config }
+
+let cache : Kernel.t Cache.t = Cache.create 64
 let hits = Atomic.make 0
 let misses = Atomic.make 0
 
@@ -141,98 +172,74 @@ let instrument ?cost ~config ~backend ~shape group (kernel : Kernel.t) =
   in
   { kernel with Kernel.run }
 
-let armed_spec = Atomic.make ""
+(* Certification (SF_VALIDATE=1 / Config.certify): prove the plan the
+   backend is about to adopt race-free, once per cache entry — cache hits
+   pay nothing.  A failed compile caches nothing, so a racy plan raises on
+   every attempt. *)
+let certify config ~backend (group : Group.t) diagnose =
+  if config.Config.certify then begin
+    let diagnostics =
+      Trace.span Trace.Certify ("certify:" ^ group.Group.label) diagnose
+    in
+    if Sf_analysis.Diagnostics.has_errors diagnostics then
+      raise
+        (Certification_failed
+           { backend; group = group.Group.label; diagnostics })
+  end
 
-let compile ?(config = Config.default) backend ~shape group =
-  if config.Config.trace && not (Trace.on ()) then Trace.set_enabled true;
-  (* mirror the trace-arming pattern: a spec in the config arms the global
-     fault substrate.  Arming is keyed on the raw spec string so repeated
-     compiles under the same config never re-arm (re-arming would reset
-     the clauses' occurrence counters mid-campaign); [None] leaves any
-     SF_FAULTS arming in force. *)
-  (match config.Config.faults with
-  | Some spec when Atomic.get armed_spec <> spec ->
-      Atomic.set armed_spec spec;
-      Fault.arm_exn spec
-  | _ -> ());
-  let key =
-    {
-      backend;
-      shape = Ivec.to_list shape;
-      group_hash = Group.hash group;
-      config;
-    }
-  in
-  match locked (fun () -> Hashtbl.find_opt cache key) with
+(* Lookup, build on a miss, publish: one path for [compile] and
+   [compile_time_tiled].  The build runs outside the lock — lowering can
+   be slow and must not stall concurrent lookups of unrelated kernels —
+   so two racing misses both build and the first to publish wins. *)
+let cached key ~args (group : Group.t) build =
+  match locked (fun () -> Cache.find_opt cache key) with
   | Some kernel ->
       Atomic.incr hits;
-      if Trace.on () then Trace.add Trace.Cache_hits 1;
+      Trace.add Trace.Cache_hits 1;
       kernel
   | None ->
       Atomic.incr misses;
-      if Trace.on () then Trace.add Trace.Cache_misses 1;
-      (* compile outside the lock: lowering can be slow and must not stall
-         concurrent lookups of unrelated kernels *)
+      Trace.add Trace.Cache_misses 1;
       let kernel =
-        Trace.span
-          ~args:
-            [
-              ("backend", Trace.Str (backend_name backend));
-              ("group", Trace.Str group.Group.label);
-            ]
-          Trace.Compile
-          ("compile:" ^ group.Group.label)
-          (fun () ->
-            let group = Passes.optimize config ~shape group in
-            (* schedule certification (SF_VALIDATE=1 / Config.certify):
-               prove the plan the backend is about to adopt race-free, once
-               per cache entry — cache hits pay nothing.  A failed compile
-               caches nothing, so a racy plan raises on every attempt. *)
-            if config.Config.certify then begin
-              let diagnostics =
-                Trace.span Trace.Certify
-                  ("certify:" ^ group.Group.label)
-                  (fun () ->
-                    match backend with
-                    | Openmp ->
-                        Schedule_check.certify config ~shape ~backend:`Openmp
-                          group
-                    | Opencl ->
-                        Schedule_check.certify config ~shape ~backend:`Opencl
-                          group
-                    | Interp | Compiled | Custom _ -> [])
-              in
-              if Sf_analysis.Diagnostics.has_errors diagnostics then
-                raise
-                  (Certification_failed
-                     {
-                       backend = backend_name backend;
-                       group = group.Group.label;
-                       diagnostics;
-                     })
-            end;
-            let kernel =
-              match backend with
-              | Interp -> Serial_backend.compile_interp config ~shape group
-              | Compiled -> Serial_backend.compile_compiled config ~shape group
-              | Openmp -> Openmp_backend.compile config ~shape group
-              | Opencl -> Opencl_backend.compile config ~shape group
-              | Custom name -> (
-                  match locked (fun () -> Hashtbl.find_opt registry name) with
-                  | Some compiler -> compiler config ~shape group
-                  | None ->
-                      invalid_arg
-                        (Printf.sprintf
-                           "Jit.compile: unknown custom backend %S" name))
-            in
-            instrument ~config ~backend ~shape group kernel)
+        Trace.span ~args Trace.Compile ("compile:" ^ group.Group.label) build
       in
       locked (fun () ->
-          match Hashtbl.find_opt cache key with
-          | Some existing -> existing (* a racing compile won: keep one *)
+          match Cache.find_opt cache key with
+          | Some existing -> existing
           | None ->
-              Hashtbl.replace cache key kernel;
+              Cache.replace cache key kernel;
               kernel)
+
+let compile ?(config = Config.default) backend ~shape group =
+  cached
+    (key_of ~config ~reps:1 backend ~shape group)
+    ~args:
+      [
+        ("backend", Trace.Str (backend_name backend));
+        ("group", Trace.Str group.Group.label);
+      ]
+    group
+    (fun () ->
+      let group = Passes.optimize config ~shape group in
+      certify config ~backend:(backend_name backend) group (fun () ->
+          match backend with
+          | Openmp -> Schedule_check.certify config ~shape ~backend:`Openmp group
+          | Opencl -> Schedule_check.certify config ~shape ~backend:`Opencl group
+          | Interp | Compiled | Custom _ -> []);
+      let kernel =
+        match backend with
+        | Interp -> Serial_backend.compile_interp config ~shape group
+        | Compiled -> Serial_backend.compile_compiled config ~shape group
+        | Openmp -> Openmp_backend.compile config ~shape group
+        | Opencl -> Opencl_backend.compile config ~shape group
+        | Custom name -> (
+            match locked (fun () -> Hashtbl.find_opt registry name) with
+            | Some compiler -> compiler config ~shape group
+            | None ->
+                invalid_arg
+                  (Printf.sprintf "Jit.compile: unknown custom backend %S" name))
+      in
+      instrument ~config ~backend ~shape group kernel)
 
 (* --------------------------------------------------- temporal blocking
 
@@ -241,92 +248,49 @@ let compile ?(config = Config.default) backend ~shape group =
    skew-blocked into ~one pass of memory traffic when [Timetile.plan]
    accepts the group, or a plain kernel wrapped in a reps-loop otherwise,
    so the semantics are uniform either way (the differential fuzzer
-   depends on that).  Time-tiled entries live in the same cache under a
-   distinct pseudo-backend name, with [Config.time_tile] carrying [reps]
-   into the key. *)
+   depends on that). *)
 
 let compile_time_tiled ?(config = Config.default) ~reps backend ~shape group =
   if reps < 1 then
     invalid_arg "Jit.compile_time_tiled: reps must be at least 1";
   if reps = 1 then compile ~config backend ~shape group
   else begin
-    let config = { config with Config.time_tile = reps } in
-    let plain_loop () =
-      let inner = compile ~config backend ~shape group in
-      let run ?params grids =
-        for _ = 1 to reps do
-          inner.Kernel.run ?params grids
-        done
-      in
-      {
-        inner with
-        Kernel.run;
-        Kernel.description =
-          Printf.sprintf "%d rep(s) of [%s]" reps inner.Kernel.description;
-      }
-    in
-    let key =
-      {
-        backend = Custom ("timetile:" ^ backend_name backend);
-        shape = Ivec.to_list shape;
-        group_hash = Group.hash group;
-        config;
-      }
-    in
-    match locked (fun () -> Hashtbl.find_opt cache key) with
-    | Some kernel ->
-        Atomic.incr hits;
-        if Trace.on () then Trace.add Trace.Cache_hits 1;
-        kernel
-    | None ->
-        Atomic.incr misses;
-        if Trace.on () then Trace.add Trace.Cache_misses 1;
-        let kernel =
-          Trace.span
-            ~args:
-              [
-                ("backend", Trace.Str "timetile");
-                ("group", Trace.Str group.Group.label);
-                ("reps", Trace.Int reps);
-              ]
-            Trace.Compile
-            ("compile:" ^ group.Group.label)
-            (fun () ->
-              let group = Passes.optimize config ~shape group in
-              match Timetile.plan config ~shape ~reps group with
-              | Some plan ->
-                  if config.Config.certify then begin
-                    let diagnostics =
-                      Trace.span Trace.Certify
-                        ("certify:" ^ group.Group.label)
-                        (fun () ->
-                          Schedule_check.certify_timetile_plan config ~shape
-                            plan)
-                    in
-                    if Sf_analysis.Diagnostics.has_errors diagnostics then
-                      raise
-                        (Certification_failed
-                           {
-                             backend = "timetile";
-                             group = group.Group.label;
-                             diagnostics;
-                           })
-                  end;
-                  instrument
-                    ~cost:(Costing.of_timetile ~shape ~reps group)
-                    ~config ~backend:(Custom "timetile") ~shape group
-                    (Timetile.compile config ~shape plan)
-              | None ->
-                  (* the plain fallback's inner kernel is instrumented by
-                     [compile] itself: one span per application *)
-                  plain_loop ())
-        in
-        locked (fun () ->
-            match Hashtbl.find_opt cache key with
-            | Some existing -> existing
-            | None ->
-                Hashtbl.replace cache key kernel;
-                kernel)
+    let key = key_of ~config ~reps backend ~shape group in
+    let config = key.config in
+    cached key
+      ~args:
+        [
+          ("backend", Trace.Str "timetile");
+          ("group", Trace.Str group.Group.label);
+          ("reps", Trace.Int reps);
+        ]
+      group
+      (fun () ->
+        let group = Passes.optimize config ~shape group in
+        match Timetile.plan config ~shape ~reps group with
+        | Some plan ->
+            certify config ~backend:"timetile" group (fun () ->
+                Schedule_check.certify_timetile_plan config ~shape plan);
+            instrument
+              ~cost:(Costing.of_timetile ~shape ~reps group)
+              ~config ~backend:(Custom "timetile") ~shape group
+              (Timetile.compile config ~shape plan)
+        | None ->
+            (* the plain fallback's inner kernel is instrumented by
+               [compile] itself: one span per application *)
+            let inner = compile ~config backend ~shape group in
+            let run ?params grids =
+              for _ = 1 to reps do
+                inner.Kernel.run ?params grids
+              done
+            in
+            {
+              inner with
+              Kernel.run;
+              Kernel.description =
+                Printf.sprintf "%d rep(s) of [%s]" reps
+                  inner.Kernel.description;
+            })
   end
 
 let compile_stencil ?config backend ~shape stencil =
@@ -338,30 +302,21 @@ let register_backend ~name compiler =
     invalid_arg
       (Printf.sprintf "Jit.register_backend: %S is a built-in backend" name);
   locked (fun () ->
-      if Hashtbl.mem registry name then Hashtbl.reset cache;
+      if Hashtbl.mem registry name then Cache.reset cache;
       Hashtbl.replace registry name compiler)
 
-(* The structural cache identity, exported so a serving layer can coalesce
-   concurrent compiles of the same kernel *before* they race in [compile]
-   (two domains racing on one key both pay the lowering; a server funnels
-   same-key requests through one compile instead).  Mirrors the key
-   construction of [compile] / [compile_time_tiled] exactly: same group
-   hash, shape, backend (the time-tiled pseudo-backend when [reps > 1])
-   and full config. *)
+(* The hash of the key [compile] / [compile_time_tiled] would use,
+   exported so a serving layer can coalesce concurrent compiles of the same
+   kernel *before* they race in [compile].  Equal tokens may, rarely, come
+   from different keys; that only makes a compile wait for an unrelated
+   one, since [compile] itself compares whole keys. *)
 let cache_key_hex ?(config = Config.default) ?(reps = 1) backend ~shape group
     =
-  let backend, config =
-    if reps > 1 then
-      ( Custom ("timetile:" ^ backend_name backend),
-        { config with Config.time_tile = reps } )
-    else (backend, config)
-  in
-  Printf.sprintf "%x-%x" (Group.hash group)
-    (Hashtbl.hash (backend_name backend, Ivec.to_list shape, config))
+  Printf.sprintf "%x" (Key.hash (key_of ~config ~reps backend ~shape group))
 
 let cache_stats () = (Atomic.get hits, Atomic.get misses)
 
 let clear_cache () =
-  locked (fun () -> Hashtbl.reset cache);
+  locked (fun () -> Cache.reset cache);
   Atomic.set hits 0;
   Atomic.set misses 0

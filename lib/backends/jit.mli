@@ -2,9 +2,11 @@
 
     [compile] lowers a stencil group for a concrete iteration shape with the
     chosen micro-compiler and memoises the result — the paper's "call-ables
-    are cached, for subsequent use".  The cache key is structural (group
-    hash × shape × backend × options), so rebuilding an equal group from
-    scratch still hits.
+    are cached, for subsequent use".  The cache key is structural (group ×
+    shape × backend × options; the group's hash only picks the bucket and
+    a hit needs [Group.equal] groups), so rebuilding an equal group from
+    scratch still hits and two groups whose hashes collide do not share a
+    kernel.
 
     Compilation is thread-safe: the cache, the custom-backend registry and
     the hit/miss counters may be used from any domain (e.g. a pool task
@@ -87,11 +89,12 @@ val compile_stencil :
 
 val cache_key_hex : ?config:Config.t -> ?reps:int -> backend ->
   shape:Sf_util.Ivec.t -> Group.t -> string
-(** The structural cache identity {!compile} (or, with [reps > 1],
-    {!compile_time_tiled}) would use, as a stable hex token.  Equal tokens
-    mean the two compiles share one cache entry — what a serving layer
-    needs to coalesce concurrent identical compiles into a single lowering
-    instead of letting them race inside {!compile}. *)
+(** The hash of the cache key {!compile} (or, with [reps > 1],
+    {!compile_time_tiled}) would use, as a hex token.  Compiles that share
+    a cache entry have equal tokens — what a serving layer needs to
+    coalesce concurrent identical compiles into a single lowering instead
+    of letting them race inside {!compile}.  Different keys may rarely
+    share a token too, which only makes one compile wait for the other. *)
 
 val cache_stats : unit -> int * int
 (** (hits, misses) since start or last {!clear_cache}. *)

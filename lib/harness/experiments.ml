@@ -122,13 +122,26 @@ let prepared_level n =
   Level.fill_interior (Level.f level) level Problem.rhs_sine;
   level
 
+(* Times the tier a long run settles on: the first run registers the
+   group's stencil structures with the native tier, which then builds them
+   at once instead of after its promotion threshold (more cells than a
+   few timed runs update).  A host that cannot build says why and is
+   timed on the row evaluator. *)
 let time_group opts backend config level group =
   let kernel =
     Jit.compile ~config backend ~shape:level.Level.shape group
   in
-  Timer.time ~label:group.Group.label ~warmup:1 ~repeats:opts.repeats
-    (fun () ->
-      kernel.Kernel.run ~params:(Level.params level) level.Level.grids)
+  let run () =
+    kernel.Kernel.run ~params:(Level.params level) level.Level.grids
+  in
+  run ();
+  (match Native.compile_pending () with
+  | Ok _ -> ()
+  | Error f ->
+      print_endline
+        (Option.value (Native.skipped f)
+           ~default:("native: build failed: " ^ Native.failure_to_string f)));
+  Timer.time ~label:group.Group.label ~warmup:1 ~repeats:opts.repeats run
 
 (* ------------------------------------------------------------------ E2 *)
 
@@ -525,41 +538,78 @@ let run_fusion opts =
      full pass over the image (paper SVII future work, implemented); the \
      blur_x/blur_y pair is correctly NOT fused (offset reads).\n"
 
+(* The smoother-stack tune behind [hpgmg_run --autotune]: GSRB with the
+   solver's pre/post smoothing count, candidates confirmed by best-of
+   timed runs on a scratch finest level.  Also returns every candidate in
+   the tuner's analytic order with its predicted and (for the confirmed
+   few) measured seconds. *)
+let tune_smoother ?db ?repeats ~config ~backend ~n () =
+  let level = Level.create ~n in
+  let shape = level.Level.shape in
+  let reps = Mg.default_config.Mg.smooths in
+  let group = Operators.gsrb_smooth in
+  let measured = ref [] in
+  let measure cfg =
+    let plan = Autotune.plan_of_config cfg in
+    let kernel, apps =
+      if plan.Autotune.time_tile > 1 then
+        (Jit.compile_time_tiled ~config:cfg ~reps backend ~shape group, 1)
+      else (Jit.compile ~config:cfg backend ~shape group, reps)
+    in
+    let dt =
+      Timer.time ~warmup:1 ?repeats (fun () ->
+          for _ = 1 to apps do
+            kernel.Kernel.run ~params:(Level.params level) level.Level.grids
+          done)
+    in
+    measured := (plan, dt) :: !measured;
+    dt
+  in
+  let result = Autotune.tune ?db ~config ~backend ~shape ~reps ~measure group in
+  let ranked =
+    Autotune.candidates config ~shape ~reps group
+    |> List.map (fun p ->
+           ( p,
+             Autotune.predicted_seconds config ~shape ~reps group p,
+             List.assoc_opt p !measured ))
+    |> List.stable_sort (fun (_, a, _) (_, b, _) -> Float.compare a b)
+  in
+  (result, ranked)
+
 let run_autotune opts =
   let n = opts.size in
-  heading (Printf.sprintf "A5: autotuner over tile/multicolor, VC GSRB at %d^3" n);
-  let level = prepared_level n in
-  let results =
-    Tune.evaluate ~repeats:opts.repeats ~backend:Jit.Openmp
-      ~shape:level.Level.shape ~params:(Level.params level)
-      ~grids:level.Level.grids Operators.gsrb_smooth
+  heading
+    (Printf.sprintf
+       "A5: Autotune (the hpgmg_run --autotune tuner), VC GSRB smoother at \
+        %d^3, %d sweeps"
+       n Mg.default_config.Mg.smooths);
+  (* a throwaway DB, so every run ranks and measures afresh *)
+  let db = Filename.temp_file "sf-a5-tuning" ".json" in
+  Sys.remove db;
+  let result, ranked =
+    Fun.protect
+      ~finally:(fun () -> if Sys.file_exists db then Sys.remove db)
+      (fun () ->
+        tune_smoother ~db ~repeats:opts.repeats
+          ~config:(Config.with_workers opts.workers Config.default)
+          ~backend:Jit.Openmp ~n ())
   in
-  let t = Tabular.create ~headers:[ "candidate"; "time"; "stencils/s" ] in
-  let points = float_of_int (n * n * n) in
-  let describe (c : Config.t) =
-    Printf.sprintf "tile=%s mc=%b"
-      (match c.Config.tile with
-      | None -> "chunks"
-      | Some ts -> String.concat "x" (List.map string_of_int ts))
-      c.Config.multicolor
-  in
-  List.iter
-    (fun (r : Tune.result) ->
+  let t = Tabular.create ~headers:[ "rank"; "plan"; "predicted"; "measured" ] in
+  List.iteri
+    (fun i (p, predicted, measured) ->
       Tabular.add_row t
-        [ describe r.Tune.config; sec_fmt r.Tune.time; rate_fmt (points /. r.Tune.time) ])
-    results;
+        [
+          string_of_int (i + 1);
+          Autotune.describe p;
+          sec_fmt predicted;
+          Option.fold ~none:"" ~some:sec_fmt measured;
+        ])
+    ranked;
   emit_table "autotune" t;
-  let best =
-    List.fold_left
-      (fun acc (r : Tune.result) ->
-        match acc with
-        | Some (b : Tune.result) when b.Tune.time <= r.Tune.time -> acc
-        | _ -> Some r)
-      None results
-    |> Option.get
-  in
-  Printf.printf "winner: %s (%.4f s)\n" (describe best.Tune.config)
-    best.Tune.time
+  Printf.printf "winner: %s (%s, %s)\n"
+    (Autotune.describe result.Autotune.plan)
+    (Autotune.source_to_string result.Autotune.source)
+    (Option.fold ~none:"-" ~some:sec_fmt result.Autotune.measured_s)
 
 let run_distributed opts =
   let n = opts.size in
@@ -606,251 +656,6 @@ let run_distributed opts =
       Printf.sprintf "%.2fx" (t_spmd /. t_single);
     ];
   emit_table "distributed" tab
-
-(* ------------------------------------------------------------------ P0 *)
-
-(* The seed executor, reconstructed as the baseline: a fresh round of
-   [Domain.spawn]/[Domain.join] for every wave of every kernel invocation —
-   what `Sf_backends.Pool` did before it became a persistent pool. *)
-let spawn_per_wave workers tasks =
-  let n = Array.length tasks in
-  if workers <= 1 || n <= 1 then Array.iter (fun f -> f ()) tasks
-  else begin
-    let next = Atomic.make 0 in
-    let worker () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          tasks.(i) ();
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let spawned =
-      Array.init
-        (min (workers - 1) (n - 1))
-        (fun _ -> Stdlib.Domain.spawn worker)
-    in
-    worker ();
-    Array.iter Stdlib.Domain.join spawned
-  end
-
-let run_pool opts =
-  heading
-    "P0: per-wave dispatch latency — spawn-per-wave (seed) vs persistent \
-     pool";
-  let max_w = max 1 opts.workers in
-  let joins = 200 in
-  let mesh_n = 16 in
-  let work = Array.make (mesh_n * mesh_n * mesh_n) 1.0 in
-  let empty_tasks w = Array.init w (fun _ () -> ()) in
-  let work_tasks w =
-    (* one wave sweeping 16^3 points, split into w slabs *)
-    let total = Array.length work in
-    let slab = (total + w - 1) / w in
-    Array.init w (fun k () ->
-        let lo = k * slab and hi = min total ((k + 1) * slab) in
-        for i = lo to hi - 1 do
-          work.(i) <- (work.(i) *. 0.999) +. 0.001
-        done)
-  in
-  let per_wave f =
-    Timer.time ~warmup:1 ~repeats:opts.repeats (fun () ->
-        for _ = 1 to joins do
-          f ()
-        done)
-    /. float_of_int joins
-  in
-  let us v = Printf.sprintf "%.2f us" (v *. 1e6) in
-  let t =
-    Tabular.create
-      ~headers:[ "workers"; "task"; "spawn/wave"; "pool/wave"; "speedup" ]
-  in
-  let rows = ref [] in
-  for w = 1 to max_w do
-    let pool = Pool.create ~workers:w in
-    List.iter
-      (fun (kind, tasks) ->
-        let t_spawn = per_wave (fun () -> spawn_per_wave w tasks) in
-        let t_pool = per_wave (fun () -> Pool.run_tasks pool tasks) in
-        let speedup = t_spawn /. t_pool in
-        rows := (w, kind, t_spawn, t_pool, speedup) :: !rows;
-        Tabular.add_row t
-          [
-            string_of_int w;
-            kind;
-            us t_spawn;
-            us t_pool;
-            Printf.sprintf "%.1fx" speedup;
-          ])
-      [ ("empty", empty_tasks w); ("16^3", work_tasks w) ]
-  done;
-  let rows = List.rev !rows in
-  emit_table "pool" t;
-  report_pool_stats ();
-  (* persist the dispatch-overhead trajectory for the perf history *)
-  let headline =
-    List.fold_left
-      (fun acc (w, kind, _, _, s) ->
-        if w = max_w && kind = "empty" then s else acc)
-      1.0 rows
-  in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"benchmark\": \"pool-dispatch\",\n";
-  Printf.bprintf buf "  \"joins_per_sample\": %d,\n" joins;
-  Printf.bprintf buf "  \"workers_max\": %d,\n" max_w;
-  Printf.bprintf buf "  \"rows\": [\n";
-  List.iteri
-    (fun i (w, kind, t_spawn, t_pool, speedup) ->
-      Printf.bprintf buf
-        "    {\"workers\": %d, \"task\": %S, \"spawn_per_wave_us\": %.3f, \
-         \"persistent_pool_us\": %.3f, \"speedup\": %.2f}%s\n"
-        w kind (t_spawn *. 1e6) (t_pool *. 1e6) speedup
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.bprintf buf "  ],\n";
-  Printf.bprintf buf
-    "  \"dispatch_speedup_empty_at_max_workers\": %.2f\n" headline;
-  Buffer.add_string buf "}\n";
-  let oc = open_out "BENCH_pool.json" in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  Printf.printf
-    "[BENCH_pool.json written: empty-wave dispatch %.1fx faster than \
-     spawn-per-wave at %d workers]\n"
-    headline max_w
-
-(* F1: the tentpole perf experiment — unfused vs fused-config vs
-   temporally-blocked 4-sweep GSRB.  GSRB's colour sweeps are provably
-   not cofusible (the fused row documents that the partition stays
-   singleton and costs nothing); the memory-traffic win comes from the
-   time-tiled variant, which runs all 4 sweeps in one skewed pass.
-   Writes BENCH_fusion.json so the bytes/cell trajectory is tracked
-   across PRs. *)
-let run_fusion_bench opts =
-  let sweeps = 4 in
-  heading
-    (Printf.sprintf
-       "F1: cross-wave fusion + temporal blocking, %d-sweep GSRB (openmp, \
-        %d workers)"
-       sweeps opts.workers);
-  let host = Lazy.force host_machine in
-  let bw = host.Machine.bandwidth_gbs in
-  Printf.printf "STREAM bandwidth: %.2f GB/s (roofline reference)\n" bw;
-  let sizes = [ 32; 64; 128 ] in
-  let group = Operators.gsrb_smooth in
-  let base = Config.with_workers opts.workers Config.default in
-  let t =
-    Tabular.create
-      ~headers:
-        [ "n"; "variant"; "plan"; "bytes/cell"; "wall"; "GB/s"; "%roofline" ]
-  in
-  let rows = ref [] in
-  List.iter
-    (fun n ->
-      let level = prepared_level n in
-      let shape = level.Level.shape in
-      let params = Level.params level in
-      let grids = level.Level.grids in
-      let run_variant (variant, plan, bytes, kernel, runs_per_sample) =
-        let dt =
-          Timer.time ~label:variant ~warmup:1 ~repeats:opts.repeats
-            (fun () ->
-              for _ = 1 to runs_per_sample do
-                kernel.Kernel.run ~params grids
-              done)
-        in
-        let cells = sweeps * n * n * n in
-        let bytes_per_cell = float_of_int bytes /. float_of_int cells in
-        let gbs = float_of_int bytes /. dt /. 1e9 in
-        let pct = 100. *. gbs /. bw in
-        rows := (n, variant, plan, bytes_per_cell, dt, gbs, pct) :: !rows;
-        Tabular.add_row t
-          [
-            string_of_int n;
-            variant;
-            plan;
-            Printf.sprintf "%.1f" bytes_per_cell;
-            sec_fmt dt;
-            Printf.sprintf "%.2f" gbs;
-            Printf.sprintf "%.1f%%" pct;
-          ]
-      in
-      let unfused_cfg = { base with Config.fusion = false } in
-      let fused_cfg = { base with Config.fusion = true } in
-      let app_bytes cfg =
-        (Costing.of_clusters ~shape
-           (List.map
-              (fun (c : Fusion.cluster) -> c.Fusion.members)
-              (Fusion.partition cfg ~shape group)))
-          .Costing.bytes
-      in
-      run_variant
-        ( "unfused",
-          "4 plain sweeps",
-          sweeps * app_bytes unfused_cfg,
-          Jit.compile ~config:unfused_cfg Jit.Openmp ~shape group,
-          sweeps );
-      run_variant
-        ( "fused",
-          "fusion " ^ Fusion.describe (Fusion.partition fused_cfg ~shape group),
-          sweeps * app_bytes fused_cfg,
-          Jit.compile ~config:fused_cfg Jit.Openmp ~shape group,
-          sweeps );
-      let tplan =
-        match Timetile.plan base ~shape ~reps:sweeps group with
-        | Some p -> Timetile.describe p
-        | None -> "plain loop"
-      in
-      run_variant
-        ( "ttile4",
-          tplan,
-          (Costing.of_timetile ~shape ~reps:sweeps group).Costing.bytes,
-          Jit.compile_time_tiled ~config:base ~reps:sweeps Jit.Openmp ~shape
-            group,
-          1 ))
-    sizes;
-  let rows = List.rev !rows in
-  emit_table "fusion_bench" t;
-  (* headline at the largest size: model bytes and measured wall, plain
-     vs time-tiled *)
-  let pick variant =
-    List.find (fun (n, v, _, _, _, _, _) -> n = List.fold_left max 0 sizes && v = variant) rows
-  in
-  let _, _, _, b_plain, w_plain, _, _ = pick "unfused" in
-  let _, _, _, b_tile, w_tile, _, _ = pick "ttile4" in
-  let bytes_ratio = b_plain /. b_tile in
-  let wall_ratio = w_plain /. w_tile in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"benchmark\": \"fusion-timetile-gsrb\",\n";
-  Printf.bprintf buf "  \"sweeps\": %d,\n" sweeps;
-  Printf.bprintf buf "  \"workers\": %d,\n" opts.workers;
-  Printf.bprintf buf "  \"stream_gbs\": %.2f,\n" bw;
-  Printf.bprintf buf "  \"rows\": [\n";
-  List.iteri
-    (fun i (n, variant, plan, bpc, wall, gbs, pct) ->
-      Printf.bprintf buf
-        "    {\"n\": %d, \"variant\": %S, \"plan\": %S, \"bytes_per_cell\": \
-         %.2f, \"wall_s\": %.6f, \"gbs\": %.2f, \"roofline_pct\": %.1f}%s\n"
-        n variant plan bpc wall gbs pct
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.bprintf buf "  ],\n";
-  Printf.bprintf buf "  \"bytes_per_cell_ratio_unfused_vs_ttile\": %.2f,\n"
-    bytes_ratio;
-  Printf.bprintf buf "  \"wallclock_ratio_unfused_vs_ttile\": %.2f\n"
-    wall_ratio;
-  Buffer.add_string buf "}\n";
-  let oc = open_out "BENCH_fusion.json" in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  Printf.printf
-    "[BENCH_fusion.json written: time depth %d cuts model traffic %.2fx \
-     (wall-clock %.2fx) vs %d plain sweeps at %d^3]\n"
-    sweeps bytes_ratio wall_ratio sweeps (List.fold_left max 0 sizes)
 
 (* A correctness gate printed into the benchmark log, in the spirit of
    HPGMG's built-in verification: the numbers above only matter if these

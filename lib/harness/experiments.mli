@@ -31,7 +31,9 @@ val run_stream : opts -> unit
 val run_fig7 : opts -> unit
 (** E2 (Fig. 7): stencils/s for CC 7-pt, CC Jacobi, VC GSRB at a fixed
     size, Snowflake vs hand-written vs roofline, CPU measured + GPU
-    modelled. *)
+    modelled.  The Snowflake columns time the tier a long run settles on:
+    native C when this host can build it (else a [native: skipped ...]
+    line and the row evaluator). *)
 
 val run_fig8 : opts -> unit
 (** E3 (Fig. 8): VC GSRB smoother time across problem sizes. *)
@@ -53,26 +55,29 @@ val run_fusion : opts -> unit
     folded into the blur), with result-equality guaranteed by the pass
     tests. *)
 
+val tune_smoother :
+  ?db:string ->
+  ?repeats:int ->
+  config:Sf_backends.Config.t ->
+  backend:Sf_backends.Jit.backend ->
+  n:int ->
+  unit ->
+  Sf_backends.Autotune.result
+  * (Sf_backends.Autotune.plan * float * float option) list
+(** The tune [hpgmg_run --autotune] runs: [Autotune.tune] on the VC GSRB
+    smoother at [n]³ with the solver's smoothing count, each confirmed
+    candidate timed best-of-[repeats] (default 3) on a scratch level.
+    Also returns every candidate in the tuner's analytic order with its
+    predicted and, for the confirmed few, measured seconds.  [db] as for
+    [Autotune.tune]. *)
+
 val run_autotune : opts -> unit
-(** A5: measured tile/multicolor autotuning on the GSRB smoother. *)
+(** A5: {!tune_smoother} at [size]³ on the OpenMP backend against a
+    throwaway DB: the ranked candidates and the measured winner. *)
 
 val run_distributed : opts -> unit
 (** D1: simulated SPMD GSRB (stencil-expressed halo exchange) vs the
     single-domain smoother of the same global size. *)
-
-val run_pool : opts -> unit
-(** P0: per-wave dispatch latency of the persistent worker-domain pool vs
-    the seed's spawn-per-wave executor, for 1..workers and both empty and
-    16³-point waves.  Writes [BENCH_pool.json] into the working directory
-    so the orchestration-overhead trajectory is tracked across PRs. *)
-
-val run_fusion_bench : opts -> unit
-(** F1: unfused vs fused-config vs temporally-blocked 4-sweep GSRB at
-    32³/64³/128³ on the OpenMP backend, with model bytes/cell, measured
-    wall-clock and % of STREAM roofline per variant.  Writes
-    [BENCH_fusion.json] (headline: bytes/cell and wall-clock ratios of
-    4 plain sweeps vs one time-depth-4 pass) into the working directory
-    so the traffic trajectory is tracked across PRs. *)
 
 val run_verify : opts -> unit
 (** V0: an HPGMG-style correctness gate printed into the benchmark log —

@@ -167,8 +167,9 @@ let grids_payload grids =
       })
     (List.sort String.compare (Sf_mesh.Grids.names grids))
 
-(* Coalescing front: at most one in-flight lowering per structural cache
-   key; latecomers wait, then take the Jit cache hit. *)
+(* Coalescing front: at most one in-flight lowering per cache-key hash;
+   latecomers wait, then take the Jit cache hit (or, on a rare hash
+   collision, compile their own kernel). *)
 let coalesced_compile t ~key compile =
   let wait_or_claim () =
     Mutex.protect t.sched (fun () ->

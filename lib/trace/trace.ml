@@ -69,52 +69,34 @@ type counter =
   | Native_failures
   | Native_cells
 
-let cells_c = Atomic.make 0
-let chunks_c = Atomic.make 0
-let stolen_c = Atomic.make 0
-let inline_c = Atomic.make 0
-let hits_c = Atomic.make 0
-let misses_c = Atomic.make 0
-let faults_c = Atomic.make 0
-let retries_c = Atomic.make 0
-let failovers_c = Atomic.make 0
-let rollbacks_c = Atomic.make 0
-let guard_trips_c = Atomic.make 0
-let skipped_c = Atomic.make 0
-let recoveries_c = Atomic.make 0
-let tune_hits_c = Atomic.make 0
-let tune_misses_c = Atomic.make 0
-let chan_sends_c = Atomic.make 0
-let chan_stalls_c = Atomic.make 0
-let native_promotions_c = Atomic.make 0
-let native_disk_hits_c = Atomic.make 0
-let native_failures_c = Atomic.make 0
-let native_cells_c = Atomic.make 0
+(* One atomic cell per counter, so [add], [counters] and [clear] walk
+   one table. *)
+let index = function
+  | Cells_updated -> 0
+  | Chunks_dispatched -> 1
+  | Chunks_stolen -> 2
+  | Inline_fallbacks -> 3
+  | Cache_hits -> 4
+  | Cache_misses -> 5
+  | Faults_injected -> 6
+  | Retries -> 7
+  | Failovers -> 8
+  | Rollbacks -> 9
+  | Guard_trips -> 10
+  | Tasks_skipped -> 11
+  | Rank_recoveries -> 12
+  | Tune_db_hits -> 13
+  | Tune_db_misses -> 14
+  | Channel_sends -> 15
+  | Channel_stalls -> 16
+  | Native_promotions -> 17
+  | Native_disk_hits -> 18
+  | Native_failures -> 19
+  | Native_cells -> 20
 
-let cell_of = function
-  | Cells_updated -> cells_c
-  | Chunks_dispatched -> chunks_c
-  | Chunks_stolen -> stolen_c
-  | Inline_fallbacks -> inline_c
-  | Cache_hits -> hits_c
-  | Cache_misses -> misses_c
-  | Faults_injected -> faults_c
-  | Retries -> retries_c
-  | Failovers -> failovers_c
-  | Rollbacks -> rollbacks_c
-  | Guard_trips -> guard_trips_c
-  | Tasks_skipped -> skipped_c
-  | Rank_recoveries -> recoveries_c
-  | Tune_db_hits -> tune_hits_c
-  | Tune_db_misses -> tune_misses_c
-  | Channel_sends -> chan_sends_c
-  | Channel_stalls -> chan_stalls_c
-  | Native_promotions -> native_promotions_c
-  | Native_disk_hits -> native_disk_hits_c
-  | Native_failures -> native_failures_c
-  | Native_cells -> native_cells_c
-
-let add c n = if on () then ignore (Atomic.fetch_and_add (cell_of c) n)
+let cells = Array.init 21 (fun _ -> Atomic.make 0)
+let get c = Atomic.get cells.(index c)
+let add c n = if on () then ignore (Atomic.fetch_and_add cells.(index c) n)
 
 type counters = {
   cells_updated : int;
@@ -142,27 +124,27 @@ type counters = {
 
 let counters () =
   {
-    cells_updated = Atomic.get cells_c;
-    chunks_dispatched = Atomic.get chunks_c;
-    chunks_stolen = Atomic.get stolen_c;
-    inline_fallbacks = Atomic.get inline_c;
-    cache_hits = Atomic.get hits_c;
-    cache_misses = Atomic.get misses_c;
-    faults_injected = Atomic.get faults_c;
-    retries = Atomic.get retries_c;
-    failovers = Atomic.get failovers_c;
-    rollbacks = Atomic.get rollbacks_c;
-    guard_trips = Atomic.get guard_trips_c;
-    tasks_skipped = Atomic.get skipped_c;
-    rank_recoveries = Atomic.get recoveries_c;
-    tune_db_hits = Atomic.get tune_hits_c;
-    tune_db_misses = Atomic.get tune_misses_c;
-    channel_sends = Atomic.get chan_sends_c;
-    channel_stalls = Atomic.get chan_stalls_c;
-    native_promotions = Atomic.get native_promotions_c;
-    native_disk_hits = Atomic.get native_disk_hits_c;
-    native_failures = Atomic.get native_failures_c;
-    native_cells = Atomic.get native_cells_c;
+    cells_updated = get Cells_updated;
+    chunks_dispatched = get Chunks_dispatched;
+    chunks_stolen = get Chunks_stolen;
+    inline_fallbacks = get Inline_fallbacks;
+    cache_hits = get Cache_hits;
+    cache_misses = get Cache_misses;
+    faults_injected = get Faults_injected;
+    retries = get Retries;
+    failovers = get Failovers;
+    rollbacks = get Rollbacks;
+    guard_trips = get Guard_trips;
+    tasks_skipped = get Tasks_skipped;
+    rank_recoveries = get Rank_recoveries;
+    tune_db_hits = get Tune_db_hits;
+    tune_db_misses = get Tune_db_misses;
+    channel_sends = get Channel_sends;
+    channel_stalls = get Channel_stalls;
+    native_promotions = get Native_promotions;
+    native_disk_hits = get Native_disk_hits;
+    native_failures = get Native_failures;
+    native_cells = get Native_cells;
   }
 
 (* -------------------------------------------------------- roofline join *)
@@ -244,13 +226,7 @@ let clear () =
   n_events := 0;
   dropped_c := 0;
   Mutex.unlock mu;
-  List.iter
-    (fun c -> Atomic.set c 0)
-    [
-      cells_c; chunks_c; stolen_c; inline_c; hits_c; misses_c; faults_c;
-      retries_c; failovers_c; rollbacks_c; guard_trips_c; skipped_c;
-      recoveries_c; tune_hits_c; tune_misses_c; chan_sends_c; chan_stalls_c;
-    ]
+  Array.iter (fun c -> Atomic.set c 0) cells
 
 (* ---------------------------------------------------------- aggregation *)
 

@@ -1436,6 +1436,41 @@ let test_jit_cache () =
   let hits, _ = Jit.cache_stats () in
   check_int "structural hit" 2 hits
 
+(* [Group.hash] hashes float coefficients to 30 bits: these two scalings
+   share a hash, and must still get their own kernels. *)
+let test_jit_hash_collision () =
+  let shape = iv [ 8; 8 ] in
+  let scale w =
+    Group.make ~label:(Printf.sprintf "scale_%g" w)
+      [
+        Stencil.make ~label:"scale" ~output:"out"
+          ~expr:Expr.(const w *: read "u" (iv [ 0; 0 ]))
+          ~domain:(Domain.interior 2 ~ghost:1)
+          ();
+      ]
+  in
+  let a = scale 23.182 and b = scale 38.905 in
+  check_int "the pair collides" (Group.hash a) (Group.hash b);
+  List.iter
+    (fun backend ->
+      Jit.clear_cache ();
+      List.iter
+        (fun (w, group) ->
+          let grids =
+            Grids.of_list
+              [ ("u", Mesh.random ~seed:4 shape); ("out", Mesh.create shape) ]
+          in
+          (Jit.compile backend ~shape group).Kernel.run grids;
+          let p = iv [ 3; 4 ] in
+          check_float
+            (Printf.sprintf "%s out = %g u" (Jit.backend_name backend) w)
+            (w *. Mesh.get (Grids.find grids "u") p)
+            (Mesh.get (Grids.find grids "out") p))
+        [ (23.182, a); (38.905, b) ];
+      check_bool "two cache entries" true
+        (Jit.compile backend ~shape a != Jit.compile backend ~shape b))
+    [ Jit.Compiled; Jit.Openmp ]
+
 let test_jit_thread_safety () =
   (* kernels may be compiled from worker domains: racing compiles of the
      same key must agree on one cached kernel and not corrupt counters *)
@@ -1804,6 +1839,7 @@ let () =
         [
           Alcotest.test_case "cache" `Quick test_jit_cache;
           Alcotest.test_case "thread safety" `Quick test_jit_thread_safety;
+          Alcotest.test_case "hash collision" `Quick test_jit_hash_collision;
           Alcotest.test_case "backend names" `Quick test_backend_names;
           Alcotest.test_case "custom registry" `Quick
             test_custom_backend_registry;

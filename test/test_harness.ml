@@ -1,7 +1,3 @@
-open Sf_util
-open Sf_mesh
-open Snowflake
-open Sf_backends
 open Sf_harness
 
 let check_bool = Alcotest.(check bool)
@@ -14,60 +10,8 @@ let test_timer () =
   let samples = Timer.time_all ~warmup:0 ~repeats:4 (fun () -> ()) in
   Alcotest.(check int) "sample count" 4 (Array.length samples)
 
-let test_tile_candidates () =
-  let cs = Tune.tile_candidates ~dims:3 ~n:16 in
-  check_bool "includes default" true (List.mem None cs);
-  List.iter
-    (fun c ->
-      match c with
-      | None -> ()
-      | Some tile ->
-          Alcotest.(check int) "rank" 3 (List.length tile);
-          check_bool "fits extent" true (List.for_all (fun t -> t <= 16) tile))
-    cs
-
-let test_tune_picks_a_config () =
-  let shape = Ivec.of_list [ 18; 18 ] in
-  let s =
-    Stencil.make ~label:"lap" ~output:"out"
-      ~expr:
-        Expr.(
-          read "u" (Ivec.of_list [ -1; 0 ])
-          +: read "u" (Ivec.of_list [ 1; 0 ])
-          +: read "u" (Ivec.of_list [ 0; -1 ])
-          +: read "u" (Ivec.of_list [ 0; 1 ])
-          -: (const 4. *: read "u" (Ivec.of_list [ 0; 0 ])))
-      ~domain:(Domain.interior 2 ~ghost:1)
-      ()
-  in
-  let group = Group.make ~label:"lap" [ s ] in
-  let grids =
-    Grids.of_list [ ("u", Mesh.random shape); ("out", Mesh.create shape) ]
-  in
-  let result =
-    Tune.best ~repeats:1 ~backend:Jit.Openmp ~shape ~params:[] ~grids group
-  in
-  check_bool "positive time" true (result.Tune.time > 0.);
-  (* the winning config must actually run *)
-  let kernel = Jit.compile ~config:result.Tune.config Jit.Openmp ~shape group in
-  kernel.Kernel.run grids;
-  (* explicit candidate list: the returned config is from the list *)
-  let candidates =
-    [ Config.default; { Config.default with tile = Some [ 4; 4 ] } ]
-  in
-  let r2 =
-    Tune.best ~candidates ~repeats:1 ~backend:Jit.Compiled ~shape ~params:[]
-      ~grids group
-  in
-  check_bool "config from candidates" true (List.mem r2.Tune.config candidates)
-
 let () =
   Alcotest.run "sf_harness"
     [
       ("timer", [ Alcotest.test_case "basics" `Quick test_timer ]);
-      ( "tune",
-        [
-          Alcotest.test_case "candidates" `Quick test_tile_candidates;
-          Alcotest.test_case "best" `Quick test_tune_picks_a_config;
-        ] );
     ]

@@ -304,6 +304,44 @@ let test_spmd_kill_and_recover () =
         true
         (!max_err <= 0.5 *. Float.max scale 1e-12))
 
+(* [hpgmg_run --faults] wins over SF_FAULTS.  The environment's spec is
+   armed when the process starts, so only a subprocess shows the order:
+   the flag's persistent kernel raise must end the run even though
+   SF_FAULTS arms a harmless clause. *)
+let test_faults_flag_beats_env () =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/hpgmg_run.exe"
+  in
+  let out = Filename.temp_file "sf_faults_flag" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      let env =
+        "SF_FAULTS=chunk:delay=0.0@n=999999"
+        :: List.filter
+             (fun e -> not (String.starts_with ~prefix:"SF_FAULTS=" e))
+             (Array.to_list (Unix.environment ()))
+      in
+      let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+      let pid =
+        Unix.create_process_env exe
+          [| exe; "--size"; "8"; "--cycles"; "1"; "--faults"; "kernel:raise" |]
+          (Array.of_list env) Unix.stdin fd fd
+      in
+      Unix.close fd;
+      let _, status = Unix.waitpid [] pid in
+      let output = In_channel.with_open_bin out In_channel.input_all in
+      let contains sub =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length output
+          && (String.sub output i n = sub || go (i + 1))
+        in
+        go 0
+      in
+      check_bool "exit status is not 0" true (status <> Unix.WEXITED 0);
+      check_bool "the kernel raise escapes" true (contains "Fault.Injected"))
+
 let () =
   Alcotest.run "sf_resilience"
     [
@@ -319,6 +357,8 @@ let () =
             test_fault_probability_deterministic;
           Alcotest.test_case "fire raises Injected" `Quick
             test_fault_fire_raises;
+          Alcotest.test_case "--faults beats SF_FAULTS" `Quick
+            test_faults_flag_beats_env;
         ] );
       ( "guard",
         [

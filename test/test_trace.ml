@@ -307,6 +307,49 @@ let test_summary_aggregates () =
             = 2 * group_cells ~shape group);
           check_bool "positive time" true (a.Trace.total_us > 0.))
 
+let test_clear_zeroes_every_counter () =
+  let all =
+    Trace.
+      [
+        Cells_updated; Chunks_dispatched; Chunks_stolen; Inline_fallbacks;
+        Cache_hits; Cache_misses; Faults_injected; Retries; Failovers;
+        Rollbacks; Guard_trips; Tasks_skipped; Rank_recoveries; Tune_db_hits;
+        Tune_db_misses; Channel_sends; Channel_stalls; Native_promotions;
+        Native_disk_hits; Native_failures; Native_cells;
+      ]
+  in
+  Trace.with_enabled true (fun () ->
+      List.iter (fun c -> Trace.add c 7) all;
+      let c = Trace.counters () in
+      check_int "native cells counted" 7 c.Trace.native_cells;
+      Trace.clear ();
+      let c = Trace.counters () in
+      check_bool "every counter is 0 after clear" true
+        (c
+        = {
+            Trace.cells_updated = 0;
+            chunks_dispatched = 0;
+            chunks_stolen = 0;
+            inline_fallbacks = 0;
+            cache_hits = 0;
+            cache_misses = 0;
+            faults_injected = 0;
+            retries = 0;
+            failovers = 0;
+            rollbacks = 0;
+            guard_trips = 0;
+            tasks_skipped = 0;
+            rank_recoveries = 0;
+            tune_db_hits = 0;
+            tune_db_misses = 0;
+            channel_sends = 0;
+            channel_stalls = 0;
+            native_promotions = 0;
+            native_disk_hits = 0;
+            native_failures = 0;
+            native_cells = 0;
+          }))
+
 let () =
   Alcotest.run "sf_trace"
     [
@@ -323,6 +366,8 @@ let () =
             test_cells_updated_exact;
           Alcotest.test_case "pool counters mirrored" `Quick
             test_pool_counters_mirrored;
+          Alcotest.test_case "clear zeroes every counter" `Quick
+            test_clear_zeroes_every_counter;
         ] );
       ( "disabled",
         [
