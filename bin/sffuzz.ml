@@ -3,7 +3,9 @@
 
    Generates seeded random well-formed stencil programs, runs each on the
    interpreter (semantic oracle) and on every registered backend
-   configuration, and reports any divergence beyond ULP tolerance.  On a
+   configuration, and reports any cell that differs from interp (every
+   executor evaluates a cell exactly as interp does, so the comparison is
+   bitwise, two NaNs and the two zeros equal).  On a
    failure the program is greedily shrunk and (with --corpus-dir) written
    out as a replayable .sfl counterexample.  Metamorphic oracles check
    pool determinism, plan-certification cleanliness and SF011/NaN
@@ -79,7 +81,7 @@ let print_native = function
         (fun (label, detail) -> Printf.printf "FAILURE (%s): %s\n%!" label detail)
         n.Sf_fuzz.Diff.native_failures
 
-let run seed count max_dims backend ulps atol shrink max_shrink_evals
+let run seed count max_dims backend shrink max_shrink_evals
     corpus_dir oracles inject replay_dir proto sessions steps watchdog quiet =
   if proto then
     run_proto ~seed ~count ~sessions ~steps ~corpus_dir ~replay_dir ~watchdog
@@ -137,7 +139,7 @@ let run seed count max_dims backend ulps atol shrink max_shrink_evals
         log (Printf.sprintf "no corpus files under %s" dir);
         exit 0
       end;
-      let failed, native = Sf_fuzz.Driver.replay_paths ~ulps ~atol ?only ~log files in
+      let failed, native = Sf_fuzz.Driver.replay_paths ?only ~log files in
       let failed = failed @ Sf_fuzz.Driver.native_failures native in
       print_native native;
       log
@@ -150,8 +152,6 @@ let run seed count max_dims backend ulps atol shrink max_shrink_evals
           Sf_fuzz.Driver.seed;
           count;
           max_dims;
-          ulps;
-          atol;
           only;
           shrink;
           max_shrink_evals;
@@ -207,12 +207,6 @@ let max_dims_arg =
 let backend_arg =
   Arg.(value & opt string "all" & info [ "backend" ] ~doc:"Backends to differentiate against interp: compiled | openmp | opencl | all (comma-separable).")
 
-let ulps_arg =
-  Arg.(value & opt int 512 & info [ "ulps" ] ~doc:"ULP tolerance for the differential comparison.")
-
-let atol_arg =
-  Arg.(value & opt float 1e-11 & info [ "atol" ] ~doc:"Absolute tolerance (values within it compare equal regardless of ULPs).")
-
 let shrink_arg =
   Arg.(value & opt bool true & info [ "shrink" ] ~doc:"Greedily minimise failing programs (--shrink=false to disable).")
 
@@ -250,8 +244,8 @@ let cmd =
     (Cmd.info "sffuzz"
        ~doc:"Differential fuzzer and metamorphic test harness for the stencil backends")
     Term.(
-      const run $ seed_arg $ count_arg $ max_dims_arg $ backend_arg $ ulps_arg
-      $ atol_arg $ shrink_arg $ shrink_evals_arg $ corpus_arg $ oracles_arg
+      const run $ seed_arg $ count_arg $ max_dims_arg $ backend_arg
+      $ shrink_arg $ shrink_evals_arg $ corpus_arg $ oracles_arg
       $ inject_arg $ replay_arg $ proto_arg $ sessions_arg $ steps_arg
       $ watchdog_arg $ quiet_arg)
 

@@ -81,7 +81,7 @@ let default_db_path () =
       | _ -> Filename.concat "." ".snowflake-tuning.json")
 
 type key = {
-  group_hash : int;
+  group : string;  (* MD5 hex of the group's printed program *)
   label : string;
   shape : int list;
   backend : string;
@@ -92,7 +92,9 @@ type key = {
 
 let key ~config ~backend ~shape ~reps (group : Snowflake.Group.t) =
   {
-    group_hash = Snowflake.Group.hash group;
+    (* the printed program, floats and all, so two groups share a key only
+       when they are the same program *)
+    group = Digest.to_hex (Digest.string (Snowflake.Program_io.group_to_string group));
     label = group.Snowflake.Group.label;
     shape = Ivec.to_list shape;
     backend;
@@ -105,9 +107,7 @@ let key ~config ~backend ~shape ~reps (group : Snowflake.Group.t) =
 
 let json_of_key k =
   [
-    (* hex string, not Num: group hashes use the full 63-bit range and a
-       JSON double only carries 53 bits of integer precision *)
-    ("group_hash", Json.Str (Printf.sprintf "%x" k.group_hash));
+    ("group", Json.Str k.group);
     ("label", Json.Str k.label);
     ("shape", Json.Arr (List.map (fun d -> Json.Num (float_of_int d)) k.shape));
     ("backend", Json.Str k.backend);
@@ -156,7 +156,7 @@ let plan_of_json j =
   | _ -> None
 
 let key_matches k entry =
-  str_member "group_hash" entry = Some (Printf.sprintf "%x" k.group_hash)
+  str_member "group" entry = Some k.group
   && str_member "label" entry = Some k.label
   && str_member "backend" entry = Some k.backend
   && int_member "workers" entry = Some k.workers

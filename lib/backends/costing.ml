@@ -2,33 +2,18 @@ open Snowflake
 
 type t = { cells : int; flops : int; bytes : int }
 
-(* operator-node count: the fallback for non-polynomial bodies *)
+(* operator-node count *)
 let rec expr_ops = function
   | Expr.Const _ | Expr.Param _ | Expr.Read _ -> 0
   | Expr.Neg a -> 1 + expr_ops a
   | Expr.Add (a, b) | Expr.Sub (a, b) | Expr.Mul (a, b) | Expr.Div (a, b) ->
       1 + expr_ops a + expr_ops b
 
-(* coeff·r₁·…·r_d is d multiplies; summing m monomials (plus a nonzero
-   constant) is m-1 (resp. m) adds *)
-let poly_ops (p : Polyform.t) =
-  let mults =
-    List.fold_left
-      (fun acc (m : Polyform.mono) -> acc + List.length m.Polyform.reads)
-      0 p.Polyform.monos
-  in
-  let terms =
-    List.length p.Polyform.monos + (if p.Polyform.const <> 0. then 1 else 0)
-  in
-  mults + max 0 (terms - 1)
-
 let of_stencil ~shape (s : Stencil.t) =
   let cells = Domain.npoints_union (Domain.resolve ~shape s.Stencil.domain) in
-  let flops_per_cell =
-    match Polyform.of_expr ~params:(fun _ -> 1.0) s.Stencil.expr with
-    | Some poly -> poly_ops poly
-    | None -> expr_ops s.Stencil.expr
-  in
+  (* the operators a cell evaluates: parameter-only subtrees are folded
+     once per invocation, whatever the parameters' values *)
+  let flops_per_cell = expr_ops (Expr.fold ~params:(fun _ -> 1.0) s.Stencil.expr) in
   let read_cells =
     List.fold_left
       (fun acc (_, lattices) -> acc + Domain.npoints_union lattices)

@@ -7,11 +7,9 @@
     - [cells]: lattice points written, summed over the group's stencils
       ({!Snowflake.Domain.npoints_union} of each resolved domain — exact
       when write sets are disjoint, which the analysis certifies).
-    - [flops]: per-cell arithmetic × cells.  For polynomial bodies
-      ({!Polyform.of_expr} with all parameters at 1.0) a degree-d monomial
-      costs d multiplies and each monomial beyond the first costs one add;
-      non-polynomial bodies fall back to counting expression-tree
-      operator nodes.
+    - [flops]: per-cell arithmetic × cells: the operator nodes of the
+      expression tree the executors evaluate, with every subtree that
+      reads no grid folded to a constant ({!Snowflake.Expr.fold}).
     - [bytes]: 8 bytes × the read/write footprint sizes
       ({!Sf_analysis.Footprint}), with the write counted twice
       (write-allocate + write-back) when the output grid is not already

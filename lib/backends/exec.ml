@@ -10,122 +10,11 @@ let run_rect_interp grids ~params (s : Stencil.t) rect =
       Mesh.set out (Affine.apply s.Stencil.out_map p) v)
 
 (* ------------------------------------------------------------------- *)
-(* Closure-compiled fallback: one slot per distinct (grid, map) pair    *)
-(* with incrementally maintained flat indices.  Used for the rare       *)
-(* non-polynomial expressions (e.g. a grid read in a denominator).      *)
-(* ------------------------------------------------------------------- *)
-
-type slot = { data : floatarray; base : int; inc : int array }
-
-let make_slot (mesh : Mesh.t) (m : Affine.t) (rect : Domain.resolved) =
-  let strides = Mesh.strides mesh in
-  let n = Array.length strides in
-  let origin = Affine.apply m rect.Domain.rlo in
-  let base = Ivec.dot strides origin in
-  let inc =
-    Array.init n (fun i ->
-        strides.(i) * m.Affine.scale.(i) * rect.Domain.rstride.(i))
-  in
-  { data = Mesh.data mesh; base; inc }
-
-let compile_expr expr ~params ~slot_index ~cur =
-  let rec go = function
-    | Expr.Const c -> fun () -> c
-    | Expr.Param p ->
-        let v = params p in
-        fun () -> v
-    | Expr.Read (g, m) ->
-        let j, data = slot_index (g, m) in
-        fun () -> Float.Array.unsafe_get data (Array.unsafe_get cur j)
-    | Expr.Neg a ->
-        let fa = go a in
-        fun () -> -.fa ()
-    | Expr.Add (a, b) ->
-        let fa = go a and fb = go b in
-        fun () -> fa () +. fb ()
-    | Expr.Sub (a, b) ->
-        let fa = go a and fb = go b in
-        fun () -> fa () -. fb ()
-    | Expr.Mul (a, b) ->
-        let fa = go a and fb = go b in
-        fun () -> fa () *. fb ()
-    | Expr.Div (a, b) ->
-        let fa = go a and fb = go b in
-        fun () -> fa () /. fb ()
-  in
-  go expr
-
-let run_rect_closure grids ~params (s : Stencil.t) rect =
-  let cnt = Domain.counts rect in
-  let n = Ivec.dims cnt in
-  let reads = Stencil.reads s in
-  let k = List.length reads in
-  let slots =
-    Array.of_list
-      (List.map (fun (g, m) -> make_slot (Grids.find grids g) m rect) reads)
-  in
-  let out_slot =
-    make_slot (Grids.find grids s.Stencil.output) s.Stencil.out_map rect
-  in
-  let cur = Array.make (max k 1) 0 in
-  let slot_index (g, m) =
-    let rec find j = function
-      | [] -> assert false (* reads is exactly the list we indexed *)
-      | (g', m') :: rest ->
-          if String.equal g g' && Affine.equal m m' then (j, slots.(j).data)
-          else find (j + 1) rest
-    in
-    find 0 reads
-  in
-  let eval = compile_expr s.Stencil.expr ~params ~slot_index ~cur in
-  let out_data = out_slot.data in
-  let inner = n - 1 in
-  let inner_cnt = cnt.(inner) in
-  let inner_incs = Array.map (fun sl -> sl.inc.(inner)) slots in
-  let out_inner_inc = out_slot.inc.(inner) in
-  let outer_total = ref 1 in
-  for i = 0 to inner - 1 do
-    outer_total := !outer_total * cnt.(i)
-  done;
-  let oidx = Array.make (max inner 1) 0 in
-  for _row = 0 to !outer_total - 1 do
-    for j = 0 to k - 1 do
-      let sl = slots.(j) in
-      let flat = ref sl.base in
-      for i = 0 to inner - 1 do
-        flat := !flat + (oidx.(i) * sl.inc.(i))
-      done;
-      cur.(j) <- !flat
-    done;
-    let out_flat = ref out_slot.base in
-    for i = 0 to inner - 1 do
-      out_flat := !out_flat + (oidx.(i) * out_slot.inc.(i))
-    done;
-    for _c = 0 to inner_cnt - 1 do
-      Float.Array.unsafe_set out_data !out_flat (eval ());
-      out_flat := !out_flat + out_inner_inc;
-      for j = 0 to k - 1 do
-        cur.(j) <- cur.(j) + inner_incs.(j)
-      done
-    done;
-    let rec bump i =
-      if i >= 0 then begin
-        oidx.(i) <- oidx.(i) + 1;
-        if oidx.(i) >= cnt.(i) then begin
-          oidx.(i) <- 0;
-          bump (i - 1)
-        end
-      end
-    in
-    bump (inner - 1)
-  done
-
-(* ------------------------------------------------------------------- *)
-(* Polynomial fast path: a row evaluator.  Reads are grouped by (grid,  *)
-(* scale); one flat counter per group tracks Σ strideᵢ·scaleᵢ·xᵢ, and   *)
-(* each read is a constant delta off its group's counter.  The factored *)
-(* polynomial (Polyform.factorize) compiles, once per kernel            *)
-(* invocation, into passes that each fill a block of inner-axis rows:   *)
+(* The row evaluator.  Reads are grouped by (grid, scale); one flat     *)
+(* counter per group tracks Σ strideᵢ·scaleᵢ·xᵢ, and each read is a     *)
+(* constant delta off its group's counter.  The folded expression tree  *)
+(* compiles, once per kernel invocation, into one pass per operator     *)
+(* node, each filling a block of inner-axis rows of a scratch row:      *)
 (* floats stay in registers inside a pass and only cross a closure      *)
 (* boundary in a floatarray, so nothing is boxed per cell — the         *)
 (* strength-reduced loops the emitted C would have.                     *)
@@ -135,7 +24,7 @@ let run_rect_closure grids ~params (s : Stencil.t) rect =
    cells, results stored row-major in the scratch rows.  A running tile
    borrows one from its stencil's [prep.spare] and sets its geometry. *)
 type block = {
-  bufs : floatarray array;  (* a node at depth d accumulates in bufs.(d) *)
+  bufs : floatarray array;  (* scratch rows, one per live operator result *)
   gpos : int array;  (* read group g's flat position at the first cell *)
   ginc : int array;  (* its step to the next cell of a row *)
   grow : int array;  (* and to the next row of the block *)
@@ -148,194 +37,181 @@ type pass = block -> unit
 (* A read resolved against the grids: data array, group, constant delta. *)
 type tap = { a : floatarray; g : int; d : int }
 
+(* An operand of a pass: a read, a scratch row, or a constant. *)
+type src =
+  | Tap of tap
+  | Row of int  (* scratch row k: position r·len, step 1 *)
+  | Val of floatarray  (* a folded constant: one cell, step 0 *)
+
 let get = Float.Array.unsafe_get
 let set = Float.Array.unsafe_set
-let[@inline] start b t r =
-  Array.unsafe_get b.gpos t.g + t.d + (r * Array.unsafe_get b.grow t.g)
 
-let[@inline] step b t = Array.unsafe_get b.ginc t.g
+let[@inline] arr b = function
+  | Tap t -> t.a
+  | Row k -> Array.unsafe_get b.bufs k
+  | Val v -> v
 
-(* Row kernels: cells [c0..c1] of one scratch row, each read position
-   [p] advancing by [i] per cell.  Every operand is an argument, so the
-   loop keeps all of them in registers; [x *. 1.] unboxes a float
-   argument once, outside the loop.  [init] starts each cell from [k] (the
-   node's constant) instead of the running sum. *)
-let lin2_row ~init dst c0 c1 k a0 p0 i0 w0 a1 p1 i1 w1 =
-  let k = k *. 1. and w0 = w0 *. 1. and w1 = w1 *. 1. in
-  let p0 = ref p0 and p1 = ref p1 in
-  for c = c0 to c1 do
-    let acc = if init then k else get dst c in
-    set dst c (acc +. (w0 *. get a0 !p0) +. (w1 *. get a1 !p1));
-    p0 := !p0 + i0;
-    p1 := !p1 + i1
-  done
+(* position at the block's first cell, step to the next cell of a row,
+   and to the same cell of the next row *)
+let[@inline] pos b = function
+  | Tap t -> Array.unsafe_get b.gpos t.g + t.d
+  | Row _ | Val _ -> 0
 
-let lin1_row ~init dst c0 c1 k a0 p0 i0 w0 =
-  let k = k *. 1. and w0 = w0 *. 1. in
-  let p0 = ref p0 in
-  for c = c0 to c1 do
-    let acc = if init then k else get dst c in
-    set dst c (acc +. (w0 *. get a0 !p0));
-    p0 := !p0 + i0
-  done
+let[@inline] inc b = function
+  | Tap t -> Array.unsafe_get b.ginc t.g
+  | Row _ -> 1
+  | Val _ -> 0
 
-(* [dst += r · tmp] *)
-let factor_row dst tmp c0 c1 a p i =
-  let p = ref p in
-  for c = c0 to c1 do
-    set dst c (get dst c +. (get a !p *. get tmp c));
-    p := !p + i
-  done
+let[@inline] rinc b = function
+  | Tap t -> Array.unsafe_get b.grow t.g
+  | Row _ -> b.len
+  | Val _ -> 0
 
-(* [dst += w·x·y], one quadratic monomial *)
-let quad_row dst c0 c1 w ax px ix ay py iy =
-  let w = w *. 1. in
-  let px = ref px and py = ref py in
-  for c = c0 to c1 do
-    set dst c (get dst c +. (w *. get ax !px *. get ay !py));
-    px := !px + ix;
-    py := !py + iy
-  done
-
-let quad2_row dst c0 c1 w0 ax0 px0 ix0 ay0 py0 iy0 w1 ax1 px1 ix1 ay1 py1 iy1 =
-  let w0 = w0 *. 1. and w1 = w1 *. 1. in
-  let px0 = ref px0 and py0 = ref py0 and px1 = ref px1 and py1 = ref py1 in
-  for c = c0 to c1 do
-    set dst c
-      (get dst c
-      +. (w0 *. get ax0 !px0 *. get ay0 !py0)
-      +. (w1 *. get ax1 !px1 *. get ay1 !py1));
-    px0 := !px0 + ix0;
-    py0 := !py0 + iy0;
-    px1 := !px1 + ix1;
-    py1 := !py1 + iy1
-  done
-
-(* [out[o], out[o + i], … = res[c0..c1]]: a finished row to the output *)
-let store_row out o i res c0 c1 =
-  let o = ref o in
-  for c = c0 to c1 do
-    set out !o (get res c);
-    o := !o + i
-  done
-
-(* Passes: one row kernel per row of the block.  Linear taps are fused
-   two per pass, as are residual quadratic monomials. *)
-let lin2 ~depth ~init k t0 w0 t1 w1 : pass =
- fun b ->
-  let dst = Array.unsafe_get b.bufs depth and len = b.len in
-  for r = 0 to b.rows - 1 do
-    lin2_row ~init dst (r * len) (((r + 1) * len) - 1) k
-      t0.a (start b t0 r) (step b t0) w0 t1.a (start b t1 r) (step b t1) w1
-  done
-
-let lin1 ~depth ~init k t0 w0 : pass =
- fun b ->
-  let dst = Array.unsafe_get b.bufs depth and len = b.len in
-  for r = 0 to b.rows - 1 do
-    lin1_row ~init dst (r * len) (((r + 1) * len) - 1) k
-      t0.a (start b t0 r) (step b t0) w0
-  done
-
-let fill ~depth k : pass =
- fun b -> Float.Array.fill (Array.unsafe_get b.bufs depth) 0 (b.rows * b.len) k
-
-(* [dst += r · sub]: the sub-polynomial fills [bufs.(depth+1)] first. *)
-let factor ~depth t (sub : pass) : pass =
- fun b ->
-  sub b;
-  let dst = Array.unsafe_get b.bufs depth and len = b.len in
-  let tmp = Array.unsafe_get b.bufs (depth + 1) in
-  for r = 0 to b.rows - 1 do
-    factor_row dst tmp (r * len) (((r + 1) * len) - 1) t.a (start b t r) (step b t)
-  done
-
-let quad ~depth (w, x, y) : pass =
- fun b ->
-  let dst = Array.unsafe_get b.bufs depth and len = b.len in
-  for r = 0 to b.rows - 1 do
-    quad_row dst (r * len) (((r + 1) * len) - 1)
-      w x.a (start b x r) (step b x) y.a (start b y r) (step b y)
-  done
-
-let quad2 ~depth (w0, x0, y0) (w1, x1, y1) : pass =
- fun b ->
-  let dst = Array.unsafe_get b.bufs depth and len = b.len in
-  for r = 0 to b.rows - 1 do
-    quad2_row dst (r * len) (((r + 1) * len) - 1)
-      w0 x0.a (start b x0 r) (step b x0) y0.a (start b y0 r) (step b y0)
-      w1 x1.a (start b x1 r) (step b x1) y1.a (start b y1 r) (step b y1)
-  done
-
-(* Any other residual monomial (degree 3-4; rare outside generated
-   programs): [dst += ((w·r₁)·r₂)…], positions recomputed per cell. *)
-let mono ~depth w (taps : tap array) : pass =
- fun b ->
-  let dst = Array.unsafe_get b.bufs depth and len = b.len in
-  for r = 0 to b.rows - 1 do
-    for c = 0 to len - 1 do
-      let v = ref w in
-      for t = 0 to Array.length taps - 1 do
-        let tp = Array.unsafe_get taps t in
-        v := !v *. get tp.a (start b tp r + (c * step b tp))
-      done;
-      let o = (r * len) + c in
-      set dst o (get dst o +. !v)
+(* Block kernels: every row of a block into one scratch row, cell c of
+   row r reading each operand at [p + r·rp + c·ip].  Every operand is an
+   argument, so the loops keep all of them in registers; the binary ones
+   are unrolled four cells deep, which their short bodies need to
+   amortise the loop overhead. *)
+let neg_block dst len rows x px ix rx =
+  for r = 0 to rows - 1 do
+    let px = ref (px + (r * rx)) in
+    for c = r * len to ((r + 1) * len) - 1 do
+      set dst c (-.get x !px);
+      px := !px + ix
     done
   done
 
-let seq (passes : pass list) : pass =
-  match passes with
-  | [ p ] -> p
-  | passes ->
-      let passes = Array.of_list passes in
-      fun b ->
-        for i = 0 to Array.length passes - 1 do
-          (Array.unsafe_get passes i) b
-        done
+let add_block dst len rows x px ix rx y py iy ry =
+  for r = 0 to rows - 1 do
+    let c1 = ((r + 1) * len) - 1 in
+    let c = ref (r * len) and px = ref (px + (r * rx)) and py = ref (py + (r * ry)) in
+    while !c + 3 <= c1 do
+      let i = !c and p = !px and q = !py in
+      set dst i (get x p +. get y q);
+      set dst (i + 1) (get x (p + ix) +. get y (q + iy));
+      set dst (i + 2) (get x (p + (2 * ix)) +. get y (q + (2 * iy)));
+      set dst (i + 3) (get x (p + (3 * ix)) +. get y (q + (3 * iy)));
+      c := i + 4;
+      px := p + (4 * ix);
+      py := q + (4 * iy)
+    done;
+    for i = !c to c1 do
+      set dst i (get x !px +. get y !py);
+      px := !px + ix;
+      py := !py + iy
+    done
+  done
 
-(* Compile one factored node into a pass writing [bufs.(depth)],
-   returning it with the number of scratch rows the subtree needs.  The
-   per-cell association order is exactly {!Polyform.eval_factored}'s:
-   constant, linear taps left to right, factors, then residual monomials
-   one by one — so the executor is bitwise equal to that reference. *)
-let rec compile_node ~tap ~depth (f : Polyform.factored) : pass * int =
-  let k = f.Polyform.fconst in
-  let rec linear ~init = function
-    | [] -> if init then [ fill ~depth k ] else []
-    | [ (r0, w0) ] -> [ lin1 ~depth ~init k (tap r0) w0 ]
-    | (r0, w0) :: (r1, w1) :: rest ->
-        lin2 ~depth ~init k (tap r0) w0 (tap r1) w1 :: linear ~init:false rest
+let sub_block dst len rows x px ix rx y py iy ry =
+  for r = 0 to rows - 1 do
+    let c1 = ((r + 1) * len) - 1 in
+    let c = ref (r * len) and px = ref (px + (r * rx)) and py = ref (py + (r * ry)) in
+    while !c + 3 <= c1 do
+      let i = !c and p = !px and q = !py in
+      set dst i (get x p -. get y q);
+      set dst (i + 1) (get x (p + ix) -. get y (q + iy));
+      set dst (i + 2) (get x (p + (2 * ix)) -. get y (q + (2 * iy)));
+      set dst (i + 3) (get x (p + (3 * ix)) -. get y (q + (3 * iy)));
+      c := i + 4;
+      px := p + (4 * ix);
+      py := q + (4 * iy)
+    done;
+    for i = !c to c1 do
+      set dst i (get x !px -. get y !py);
+      px := !px + ix;
+      py := !py + iy
+    done
+  done
+
+let mul_block dst len rows x px ix rx y py iy ry =
+  for r = 0 to rows - 1 do
+    let c1 = ((r + 1) * len) - 1 in
+    let c = ref (r * len) and px = ref (px + (r * rx)) and py = ref (py + (r * ry)) in
+    while !c + 3 <= c1 do
+      let i = !c and p = !px and q = !py in
+      set dst i (get x p *. get y q);
+      set dst (i + 1) (get x (p + ix) *. get y (q + iy));
+      set dst (i + 2) (get x (p + (2 * ix)) *. get y (q + (2 * iy)));
+      set dst (i + 3) (get x (p + (3 * ix)) *. get y (q + (3 * iy)));
+      c := i + 4;
+      px := p + (4 * ix);
+      py := q + (4 * iy)
+    done;
+    for i = !c to c1 do
+      set dst i (get x !px *. get y !py);
+      px := !px + ix;
+      py := !py + iy
+    done
+  done
+
+let div_block dst len rows x px ix rx y py iy ry =
+  for r = 0 to rows - 1 do
+    let c1 = ((r + 1) * len) - 1 in
+    let c = ref (r * len) and px = ref (px + (r * rx)) and py = ref (py + (r * ry)) in
+    while !c + 3 <= c1 do
+      let i = !c and p = !px and q = !py in
+      set dst i (get x p /. get y q);
+      set dst (i + 1) (get x (p + ix) /. get y (q + iy));
+      set dst (i + 2) (get x (p + (2 * ix)) /. get y (q + (2 * iy)));
+      set dst (i + 3) (get x (p + (3 * ix)) /. get y (q + (3 * iy)));
+      c := i + 4;
+      px := p + (4 * ix);
+      py := q + (4 * iy)
+    done;
+    for i = !c to c1 do
+      set dst i (get x !px /. get y !py);
+      px := !px + ix;
+      py := !py + iy
+    done
+  done
+
+(* [out[o], out[o + i], … = x[px], x[px + ix], …], [n] cells: a finished
+   row to the output *)
+let store_row out o i n x px ix =
+  let o = ref o and px = ref px in
+  for _ = 1 to n do
+    set out !o (get x !px);
+    o := !o + i;
+    px := !px + ix
+  done
+
+(* Passes: one block kernel into scratch row [k]. *)
+let unary kernel k x : pass =
+ fun b -> kernel (Array.unsafe_get b.bufs k) b.len b.rows (arr b x) (pos b x) (inc b x) (rinc b x)
+
+let binary kernel k x y : pass =
+ fun b ->
+  kernel (Array.unsafe_get b.bufs k) b.len b.rows (arr b x) (pos b x) (inc b x) (rinc b x)
+    (arr b y) (pos b y) (inc b y) (rinc b y)
+
+(* Compile a folded tree whose value goes to scratch row [k] when it is
+   an operator node: its passes in evaluation order (operands left to
+   right, as [Expr.eval]), its operand, and the scratch rows it needs.  A
+   left operand that is itself an operator holds row [k] until its parent
+   runs, so the right one is computed in row [k + 1]. *)
+let rec compile ~tap ~k (e : Expr.t) : pass list * src * int =
+  let binop kernel a b =
+    let pa, xa, na = compile ~tap ~k a in
+    let kb = match xa with Row _ -> k + 1 | Tap _ | Val _ -> k in
+    let pb, xb, nb = compile ~tap ~k:kb b in
+    (pa @ pb @ [ binary kernel k xa xb ], Row k, max (k + 1) (max na nb))
   in
-  let factors, need =
-    List.fold_left
-      (fun (acc, need) (r, sub) ->
-        let sub, n = compile_node ~tap ~depth:(depth + 1) sub in
-        (factor ~depth (tap r) sub :: acc, max need (n + 1)))
-      ([], 1) f.Polyform.ffactors
-  in
-  let quadratic (m : Polyform.mono) =
-    match m.Polyform.reads with
-    | [ x; y ] -> Some (m.Polyform.coeff, tap x, tap y)
-    | _ -> None
-  in
-  let rec residual = function
-    | [] -> []
-    | (_, Some q0) :: (_, Some q1) :: rest -> quad2 ~depth q0 q1 :: residual rest
-    | (_, Some q) :: rest -> quad ~depth q :: residual rest
-    | ((m : Polyform.mono), None) :: rest ->
-        mono ~depth m.Polyform.coeff (Array.of_list (List.map tap m.Polyform.reads))
-        :: residual rest
-  in
-  ( seq
-      (linear ~init:true f.Polyform.flinear
-      @ List.rev factors
-      @ residual (List.map (fun m -> (m, quadratic m)) f.Polyform.fresidual)),
-    need )
+  match e with
+  | Expr.Const c -> ([], Val (Float.Array.make 1 c), 0)
+  | Expr.Read (g, m) -> ([], Tap (tap (g, m)), 0)
+  | Expr.Param p -> invalid_arg ("Exec: parameter not folded: " ^ p)
+  | Expr.Neg a ->
+      let pa, xa, na = compile ~tap ~k a in
+      (pa @ [ unary neg_block k xa ], Row k, max (k + 1) na)
+  | Expr.Add (a, b) -> binop add_block a b
+  | Expr.Sub (a, b) -> binop sub_block a b
+  | Expr.Mul (a, b) -> binop mul_block a b
+  | Expr.Div (a, b) -> binop div_block a b
 
 type prep = {
   gmeta : (int array (* mesh strides *) * int array (* scale *)) array;
-  root : pass;
+  passes : pass array;  (* the operator nodes, in evaluation order *)
+  result : src;  (* the root's value *)
   depth : int;  (* scratch rows per block *)
   out_reads : (int * int) list;
       (* (group, delta) of every read whose data array is physically the
@@ -352,21 +228,21 @@ type prep = {
 
 let no_block = { bufs = [||]; gpos = [||]; ginc = [||]; grow = [||]; rows = 0; len = 0 }
 
-let prepare_poly ~tiered grids (s : Stencil.t) (poly : Polyform.t) =
-  let f = Polyform.factorize poly in
-  let native = Native.prepare grids s f in
+let prepare_tree ~tiered grids ~params (s : Stencil.t) =
+  let e = Expr.fold ~params s.Stencil.expr in
+  let native = Native.prepare grids s e in
   let l = Native.layout native and deltas = Native.deltas native in
   let out_mesh = Grids.find grids s.Stencil.output in
   let out_data = Mesh.data out_mesh in
-  let out_reads = ref [] in
-  let tap r =
-    let i = Native.tap_index l r in
-    let (g, _), _, group = l.Native.taps.(i) in
-    let t = { a = Mesh.data (Grids.find grids g); g = group; d = deltas.(i) } in
-    if t.a == out_data then out_reads := (t.g, t.d) :: !out_reads;
-    t
+  let taps =
+    Array.mapi
+      (fun i ((g, _), _, group) ->
+        { a = Mesh.data (Grids.find grids g); g = group; d = deltas.(i) })
+      l.Native.taps
   in
-  let root, depth = compile_node ~tap ~depth:0 f in
+  let passes, result, depth =
+    compile ~tap:(fun r -> taps.(Native.tap_index l r)) ~k:0 e
+  in
   (* exactly one entry per group: a zero-read (constant) stencil has an
      empty group table *)
   let gmeta =
@@ -374,8 +250,12 @@ let prepare_poly ~tiered grids (s : Stencil.t) (poly : Polyform.t) =
       (fun (g, scale) -> (Mesh.strides (Grids.find grids g), scale))
       l.Native.groups
   in
-  { gmeta; root; depth; out_reads = !out_reads; out_data;
-    out_strides = Mesh.strides out_mesh; out_map = s.Stencil.out_map;
+  { gmeta; passes = Array.of_list passes; result; depth = max 1 depth;
+    out_reads =
+      List.filter_map
+        (fun t -> if t.a == out_data then Some (t.g, t.d) else None)
+        (Array.to_list taps);
+    out_data; out_strides = Mesh.strides out_mesh; out_map = s.Stencil.out_map;
     spare = Atomic.make no_block; native; tiered }
 
 (* Take the spare block if its scratch rows hold [size] cells, else make
@@ -436,12 +316,12 @@ let block_shape prep ~gbase ~ginc ~out_base ~out_inc ~nrows ~ncells =
     in
     (rows, cells)
 
-(* Instantiate one tile of a prepared polynomial stencil: all geometry is
+(* Instantiate one tile of a prepared stencil: all geometry is
    computed here, once; the returned thunk only runs the loops.  The thunk
    owns its counters and borrows scratch for the duration of a run, so
    distinct tiles may run concurrently while one tile's thunk is reused
    across kernel invocations for free. *)
-let instantiate_poly prep rect =
+let instantiate prep rect =
   let cnt = Domain.counts rect in
   let n = Ivec.dims cnt in
   let ngroups = Array.length prep.gmeta in
@@ -478,7 +358,7 @@ let instantiate_poly prep rect =
   in
   let pbase = Array.make ngroups 0 in
   let oinc = out_inc.(inner) and orow = along mid out_inc in
-  let root = prep.root and out_data = prep.out_data in
+  let passes = prep.passes and result = prep.result and out_data = prep.out_data in
   let planes = ref 1 in
   for i = 0 to mid - 1 do
     planes := !planes * cnt.(i)
@@ -496,7 +376,6 @@ let instantiate_poly prep rect =
   in
   let row () =
     let b = take_block prep ~size:(rows * cells) in
-    let res = b.bufs.(0) in
     for g = 0 to ngroups - 1 do
       b.ginc.(g) <- ginc.(g).(inner);
       b.grow.(g) <- along mid ginc.(g)
@@ -526,11 +405,15 @@ let instantiate_poly prep rect =
           for g = 0 to ngroups - 1 do
             Array.unsafe_set b.gpos g (pbase.(g) + (!r0 * b.grow.(g)) + (!c0 * b.ginc.(g)))
           done;
-          root b;
+          for i = 0 to Array.length passes - 1 do
+            (Array.unsafe_get passes i) b
+          done;
+          let x = arr b result and px = pos b result and ix = inc b result
+          and rx = rinc b result in
           for r = 0 to b.rows - 1 do
             store_row out_data
               (!oplane + ((!r0 + r) * orow) + (!c0 * oinc))
-              oinc res (r * len) (((r + 1) * len) - 1)
+              oinc len x (px + (r * rx)) ix
           done;
           c0 := !c0 + len
         done;
@@ -551,15 +434,8 @@ let instantiate_poly prep rect =
 let nop () = ()
 
 let prepare ~tiered grids ~params (s : Stencil.t) =
-  match Polyform.of_expr ~params s.Stencil.expr with
-  | Some poly ->
-      let prep = prepare_poly ~tiered grids s poly in
-      fun rect ->
-        if Domain.is_empty rect then nop else instantiate_poly prep rect
-  | None ->
-      fun rect () ->
-        if not (Domain.is_empty rect) then
-          run_rect_closure grids ~params s rect
+  let prep = prepare_tree ~tiered grids ~params s in
+  fun rect -> if Domain.is_empty rect then nop else instantiate prep rect
 
 let prepare_compiled = prepare ~tiered:true
 let prepare_row = prepare ~tiered:false

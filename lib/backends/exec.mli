@@ -2,31 +2,30 @@
 
     A backend lowers a stencil group to a schedule of (stencil, lattice
     tile) tasks.  {!prepare_compiled} performs the per-invocation
-    compilation work for one stencil — polynomial normalisation
-    ({!Polyform}), read grouping, delta computation, grid lookups — and
-    returns a reusable, thread-safe tile runner; executing the (many)
-    tiles then costs only index arithmetic.  Two execution strategies
-    implement the same semantics:
+    compilation work for one stencil — constant folding
+    ({!Snowflake.Expr.fold}), read grouping, delta computation, grid
+    lookups — and returns a reusable, thread-safe tile runner; executing
+    the (many) tiles then costs only index arithmetic.  Every strategy
+    evaluates the stencil's own expression tree, each operator node on
+    its two operands left to right, so all of them are bitwise equal:
 
     - {!run_rect_interp} walks the expression AST at every point with
       bounds-checked mesh access — slow, obviously correct, the oracle.
-    - the compiled path runs the generated C.  A polynomial stencil
-      (nearly all of them) has two tiers behind one thunk.  The row
-      evaluator: the expression's factored polynomial
-      ({!Polyform.factorize}) compiles, once per invocation, into one
-      loop pass per pair of linear taps, per factor ([dst += r · sub]) and
-      per pair of residual monomials, each filling a block of inner-axis
-      rows into a scratch floatarray, with per-read-group flat positions
+    - the compiled path has two tiers behind one thunk.  The row
+      evaluator: the tree, with every subtree that reads no grid folded
+      to a constant once per invocation (the same float operations, so
+      the same bits), compiles into one loop pass per operator node
+      ([+ - * /] and negation), each filling a block of inner-axis rows
+      of a scratch row from two operands — a read, another node's scratch
+      row or a folded constant — with per-read-group flat positions
       strength-reduced to incremental adds and no float boxed.  The
-      native tier ({!Native}): the same factored polynomial emitted as a
-      C function, compiled by gcc and called through [dlopen] once the
-      stencil's structure has updated enough cells to repay the compile.
-      Both tiers associate each cell's arithmetic exactly as
-      {!Polyform.eval_factored} does, so all three agree bit for bit and
-      a tile may switch tier between runs.  Both perform unchecked
-      reads/writes: legality is established beforehand by
-      {!Sf_analysis.Footprint.check_in_bounds} ({!validate_stencil}).
-      Non-polynomial stencils run a per-cell closure tree.
+      native tier ({!Native}): the same folded tree emitted as a C
+      function, one temporary per operator node, compiled by gcc and
+      called through [dlopen] once the stencil's structure has updated
+      enough cells to repay the compile; a tile may switch tier between
+      runs.  Both perform unchecked reads/writes: legality is established
+      beforehand by {!Sf_analysis.Footprint.check_in_bounds}
+      ({!validate_stencil}).
 
     Execution order within a rect is row-major over the lattice; in-place
     stencils therefore see earlier writes of the same sweep, which is the

@@ -27,11 +27,13 @@ let abi = 1
 (* Structure: which data pointer, read group and delta each read uses   *)
 (* ------------------------------------------------------------------- *)
 
+type read = string * Affine.t
+
 type layout = {
   dims : int;
   slots : string array;
   groups : (string * Ivec.t) array;
-  taps : (Polyform.read * int * int) array;
+  taps : (read * int * int) array;
 }
 
 (* First-seen numbering of the values [index] is applied to. *)
@@ -49,29 +51,28 @@ let numbering eq =
 
 let same_read (g1, m1) (g2, m2) = String.equal g1 g2 && Affine.equal m1 m2
 
-let make_layout ~output ~dims (f : Polyform.factored) =
+(* The reads of [e], left to right, repeats included. *)
+let rec iter_reads f = function
+  | Expr.Read (g, m) -> f (g, m)
+  | Expr.Const _ | Expr.Param _ -> ()
+  | Expr.Neg a -> iter_reads f a
+  | Expr.Add (a, b) | Expr.Sub (a, b) | Expr.Mul (a, b) | Expr.Div (a, b) ->
+      iter_reads f a;
+      iter_reads f b
+
+let make_layout ~output ~dims e =
   let slot, slots = numbering String.equal in
   let group, groups =
     numbering (fun (g1, s1) (g2, s2) -> String.equal g1 g2 && Ivec.equal s1 s2)
   in
   let tap, taps = numbering same_read in
   ignore (slot output);
-  let visit ((g, (m : Affine.t)) as r) =
-    ignore (slot g);
-    ignore (group (g, m.Affine.scale));
-    ignore (tap r)
-  in
-  let rec node (f : Polyform.factored) =
-    List.iter (fun (r, _) -> visit r) f.Polyform.flinear;
-    List.iter
-      (fun (r, sub) ->
-        visit r;
-        node sub)
-      f.Polyform.ffactors;
-    List.iter (fun (m : Polyform.mono) -> List.iter visit m.Polyform.reads)
-      f.Polyform.fresidual
-  in
-  node f;
+  iter_reads
+    (fun ((g, (m : Affine.t)) as r) ->
+      ignore (slot g);
+      ignore (group (g, m.Affine.scale));
+      ignore (tap r))
+    e;
   let taps =
     Array.map
       (fun ((g, (m : Affine.t)) as r) -> (r, slot g, group (g, m.Affine.scale)))
@@ -91,62 +92,50 @@ let tap_index l r =
 (*   void sf_<hash>(double *const *A, const long *G, const double *K)   *)
 (* A: data pointer per slot (slot 0 is the output); G: the tile's       *)
 (* geometry, [counts; out base; out steps; per group (base; steps);     *)
-(* per tap delta]; K: coefficients.  Everything that varies with the    *)
-(* level, shape or parameter values is a run-time argument, so one      *)
-(* build serves all of them.  No [restrict]: in-place stencils read the *)
-(* mesh they write, possibly under another name.                        *)
+(* per tap delta]; K: the folded expression's constants.  Everything    *)
+(* that varies with the level, shape or parameter values is a run-time  *)
+(* argument, so one build serves all of them.  No [restrict]: in-place  *)
+(* stencils read the mesh they write, possibly under another name.      *)
 (* ------------------------------------------------------------------- *)
 
 let sp = Printf.sprintf
 
-let emit l (f : Polyform.factored) ~fname =
+let emit l (e : Expr.t) ~fname =
   let open C_ast in
   let n = l.dims in
   let ng = Array.length l.groups and nt = Array.length l.taps in
-  (* coefficient k<i> is the i-th value [coefs] lists *)
-  let nk = ref 0 in
-  let coef (_ : float) =
-    incr nk;
-    Var (sp "k%d" (!nk - 1))
-  in
   let pos g k = sp "p%d_%d" g k in
-  let read r =
-    let t = tap_index l r in
-    let _, s, g = l.taps.(t) in
-    Index (sp "s%d" s, Bin ("+", Var (pos g (n - 1)), Var (sp "d%d" t)))
-  in
-  (* One node of the factored form into [v<id>], in exactly the row
-     evaluator's per-cell order: constant, linear taps left to right,
-     factors [v + r·sub], residual monomials [v + ((w·r₁)·r₂)…]. *)
-  let nv = ref 0 in
-  let rec node (f : Polyform.factored) =
-    let x = sp "v%d" !nv in
+  (* The cell body: one temporary per operator node, operands left to
+     right, so each cell associates exactly as [Expr.eval] does.  Constant
+     k<i> is the i-th [Const] leaf left to right ([constants]). *)
+  let nk = ref 0 and nv = ref 0 and temps = ref [] in
+  let temp rhs =
+    let v = sp "v%d" !nv in
     incr nv;
-    let acc e = Assign (Var x, Bin ("+", Var x, e)) in
-    let init = Decl ("double", x, Some (coef f.Polyform.fconst)) in
-    let linear =
-      List.map (fun (r, w) -> acc (Bin ("*", coef w, read r))) f.Polyform.flinear
-    in
-    let factors =
-      List.concat_map
-        (fun (r, sub) ->
-          let body, y = node sub in
-          body @ [ acc (Bin ("*", read r, Var y)) ])
-        f.Polyform.ffactors
-    in
-    let residual =
-      List.map
-        (fun (m : Polyform.mono) ->
-          acc
-            (List.fold_left
-               (fun p r -> Bin ("*", p, read r))
-               (coef m.Polyform.coeff) m.Polyform.reads))
-        f.Polyform.fresidual
-    in
-    ((init :: linear) @ factors @ residual, x)
+    temps := Decl ("const double", v, Some rhs) :: !temps;
+    Var v
   in
-  let cell, root = node f in
-  let cell = cell @ [ Assign (Index ("s0", Var (sp "q%d" (n - 1))), Var root) ] in
+  let rec value = function
+    | Expr.Const _ ->
+        incr nk;
+        Var (sp "k%d" (!nk - 1))
+    | Expr.Read (g, m) ->
+        let t = tap_index l (g, m) in
+        let _, s, g = l.taps.(t) in
+        Index (sp "s%d" s, Bin ("+", Var (pos g (n - 1)), Var (sp "d%d" t)))
+    | Expr.Param p -> invalid_arg ("Native.emit: parameter not folded: " ^ p)
+    | Expr.Neg a -> temp (Un ("-", value a))
+    | Expr.Add (a, b) -> binary "+" a b
+    | Expr.Sub (a, b) -> binary "-" a b
+    | Expr.Mul (a, b) -> binary "*" a b
+    | Expr.Div (a, b) -> binary "/" a b
+  and binary op a b =
+    let x = value a in
+    let y = value b in
+    temp (Bin (op, x, y))
+  in
+  let root = value e in
+  let cell = List.rev !temps @ [ Assign (Index ("s0", Var (sp "q%d" (n - 1))), root) ] in
   (* row-major over the tile: one loop per axis, positions recomputed from
      the enclosing axis' (gcc strength-reduces them) *)
   let rec loops k =
@@ -191,6 +180,7 @@ let emit l (f : Polyform.factored) ~fname =
     @ List.init nt (fun t -> geo (sp "d%d" t) (group_base ng + t))
     @ List.init !nk (fun i ->
           Decl ("const double", sp "k%d" i, Some (Index ("K", Int i))))
+    @ if !nk = 0 then [ Expr_stmt (Un ("(void)", Var "K")) ] else []
   in
   {
     qualifier = "";
@@ -205,29 +195,30 @@ let emit l (f : Polyform.factored) ~fname =
     body = header @ body;
   }
 
-(* The run-time coefficients, in the order [emit] numbers them: a node's
-   constant, its linear weights, its factors' coefficients (depth
-   first), its residual monomials' weights. *)
-let coefs f =
-  let rec node (f : Polyform.factored) =
-    (f.Polyform.fconst :: List.map snd f.Polyform.flinear)
-    @ List.concat_map (fun (_, sub) -> node sub) f.Polyform.ffactors
-    @ List.map (fun (m : Polyform.mono) -> m.Polyform.coeff) f.Polyform.fresidual
+(* The run-time constants, in the order [emit] numbers them. *)
+let constants e =
+  let rec go acc = function
+    | Expr.Const c -> c :: acc
+    | Expr.Read _ | Expr.Param _ -> acc
+    | Expr.Neg a -> go acc a
+    | Expr.Add (a, b) | Expr.Sub (a, b) | Expr.Mul (a, b) | Expr.Div (a, b) ->
+        go (go acc a) b
   in
-  Float.Array.of_list (node f)
+  Float.Array.of_list (List.rev (go [] e))
 
-(* [f] with every coefficient zeroed: what the emitted code depends on. *)
-let rec blank (f : Polyform.factored) =
-  {
-    Polyform.fconst = 0.;
-    flinear = List.map (fun (r, _) -> (r, 0.)) f.Polyform.flinear;
-    ffactors = List.map (fun (r, sub) -> (r, blank sub)) f.Polyform.ffactors;
-    fresidual = List.map (fun (m : Polyform.mono) -> { m with Polyform.coeff = 0. }) f.Polyform.fresidual;
-  }
+(* [e] with every constant zeroed: what the emitted code depends on. *)
+let rec blank = function
+  | Expr.Const _ -> Expr.Const 0.
+  | (Expr.Read _ | Expr.Param _) as e -> e
+  | Expr.Neg a -> Expr.Neg (blank a)
+  | Expr.Add (a, b) -> Expr.Add (blank a, blank b)
+  | Expr.Sub (a, b) -> Expr.Sub (blank a, blank b)
+  | Expr.Mul (a, b) -> Expr.Mul (blank a, blank b)
+  | Expr.Div (a, b) -> Expr.Div (blank a, blank b)
 
 let header =
   "/* Generated by the Snowflake native tier: one function per stencil\n\
-  \   structure, bitwise equal to the OCaml row evaluator. */\n"
+  \   structure, bitwise equal to the OCaml row evaluator and to interp. */\n"
 
 let translation_unit sources = header ^ String.concat "\n\n" sources ^ "\n"
 
@@ -702,32 +693,30 @@ type prepared = {
 }
 
 (* The structure's function (named by a digest of its body, so equal
-   structures share a name and a build wherever they occur) and this
-   stencil's coefficients. *)
-let structure (s : Stencil.t) (f : Polyform.factored) =
+   structures share a name and a build wherever they occur). *)
+let structure (s : Stencil.t) e =
   let dims = Ivec.dims s.Stencil.out_map.Affine.scale in
-  let l = make_layout ~output:s.Stencil.output ~dims f in
-  let body = emit l f ~fname:"sf_kernel" in
+  let l = make_layout ~output:s.Stencil.output ~dims e in
+  let body = emit l e ~fname:"sf_kernel" in
   let name = "sf_" ^ String.sub (Digest.to_hex (Digest.string (C_pp.func_to_string body))) 0 16 in
   (l, name, C_pp.func_to_string { body with C_ast.fname = name })
 
-let emit_source s f =
-  let _, _, source = structure s f in
+let emit_source ~params (s : Stencil.t) =
+  let _, _, source = structure s (Expr.fold ~params s.Stencil.expr) in
   source
 
 (* Emission memoised on what it depends on: a stencil prepared again (a
    new level, new grids, new parameter values) reuses its structure. *)
-let shapes : (string * int * Polyform.factored, layout * entry) Hashtbl.t =
-  Hashtbl.create 16
+let shapes : (string * int * Expr.t, layout * entry) Hashtbl.t = Hashtbl.create 16
 
-let prepare grids (s : Stencil.t) (f : Polyform.factored) =
-  let key = (s.Stencil.output, Ivec.dims s.Stencil.out_map.Affine.scale, blank f) in
+let prepare grids (s : Stencil.t) e =
+  let key = (s.Stencil.output, Ivec.dims s.Stencil.out_map.Affine.scale, blank e) in
   let l, entry =
     Mutex.protect mu (fun () ->
         match Hashtbl.find_opt shapes key with
         | Some v -> v
         | None ->
-            let l, name, source = structure s f in
+            let l, name, source = structure s e in
             let v = (l, intern ~name ~source) in
             Hashtbl.add shapes key v;
             v)
@@ -737,7 +726,7 @@ let prepare grids (s : Stencil.t) (f : Polyform.factored) =
     layout = l;
     entry;
     arrays = Array.map (fun g -> Mesh.data (mesh g)) l.slots;
-    coefs = coefs f;
+    coefs = constants e;
     deltas =
       Array.map
         (fun ((g, (m : Affine.t)), _, _) -> Ivec.dot (Mesh.strides (mesh g)) m.Affine.offset)
@@ -858,7 +847,7 @@ let native_share s =
 
 let describe () =
   let s = stats () in
-  sp "native: %.1f%% of polynomial-stencil cells (%d native, %d row); %d/%d \
+  sp "native: %.1f%% of stencil cells (%d native, %d row); %d/%d \
       structure(s) native; %d promotion(s), %d disk hit(s), %d build(s), %d \
       failure(s)%s"
     (100. *. native_share s) s.native_cells s.row_cells s.native_structures

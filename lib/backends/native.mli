@@ -1,21 +1,23 @@
-(** The native tier: polynomial stencils as gcc-compiled C.
+(** The native tier: stencils as gcc-compiled C.
 
     Snowflake's micro-compilers emit C, compile it at run time and call
-    it.  This module does that for every polynomial stencil {!Exec}
-    prepares, underneath {!Exec.prepare_compiled}, so every backend
-    (serial compiled, OpenMP, OpenCL, time tiling) gets it without a
-    separate code path or option.
+    it.  This module does that for every stencil {!Exec} prepares,
+    underneath {!Exec.prepare_compiled}, so every backend (serial
+    compiled, OpenMP, OpenCL, time tiling) gets it without a separate
+    code path or option.
 
     {b One function per structure.}  {!prepare} emits one C function
-    straight from {!Polyform.factorize}: a row-major loop nest over the
-    tile whose cell body evaluates the factored polynomial in exactly the
-    row evaluator's order (constant, linear taps left to right, factors,
-    then residual monomials [((w·r₁)·r₂)…]).  Built with
-    [-ffp-contract=off], it is bitwise equal to the row evaluator, so
-    every bitwise promise of the executors holds whichever tier ran.
-    Coefficients, tap deltas, strides and tile geometry are run-time
-    arguments: one build serves every level, shape and parameter value of
-    a structure, and its name is a digest of its body.
+    straight from the stencil's own expression tree, with its
+    parameter-only subtrees folded ({!Snowflake.Expr.fold}): a row-major
+    loop nest over the tile whose cell body holds one temporary per
+    operator node, operands left to right — exactly the association
+    {!Snowflake.Expr.eval} and the row evaluator use.  Built with
+    [-ffp-contract=off], it is bitwise equal to both, so every bitwise
+    promise of the executors holds whichever tier ran.  Folded constants,
+    tap deltas, strides and tile geometry are run-time arguments: one
+    build serves every level, shape and parameter value of a structure
+    (the tree with its constants blanked), and its name is a digest of
+    its body.
 
     {b Tiering.}  Each structure counts the cells it updates in this
     process.  Past 4M cells (the break-even: roughly the row evaluator's
@@ -56,18 +58,19 @@ type layout = {
   groups : (string * Sf_util.Ivec.t) array;
       (** read groups: one (grid, scale) pair each, with one position per
           cell *)
-  taps : (Polyform.read * int * int) array;
+  taps : ((string * Affine.t) * int * int) array;
       (** each distinct read with its slot and group *)
 }
 
-val prepare : Sf_mesh.Grids.t -> Stencil.t -> Polyform.factored -> prepared
-(** Emits (or finds) the structure's function and registers the
-    structure with the tiering. *)
+val prepare : Sf_mesh.Grids.t -> Stencil.t -> Expr.t -> prepared
+(** [prepare grids s e], with [e] the stencil's folded expression, emits
+    (or finds) the structure's function and registers the structure with
+    the tiering. *)
 
 val layout : prepared -> layout
 (** The numbering {!Exec}'s row evaluator shares. *)
 
-val tap_index : layout -> Polyform.read -> int
+val tap_index : layout -> string * Affine.t -> int
 
 val deltas : prepared -> int array
 (** Flat offset of each tap from its group's position. *)
@@ -83,7 +86,7 @@ val run : prepared -> int array -> cells:int -> (unit -> unit) -> unit
     loaded, else [row ()] (the row evaluator), counting [cells] and
     promoting or polling as needed. *)
 
-val emit_source : Stencil.t -> Polyform.factored -> string
+val emit_source : params:(string -> float) -> Stencil.t -> string
 (** The C function {!prepare} would build for this stencil (no
     registration). *)
 
@@ -128,7 +131,7 @@ type stats = {
   builds : int;  (** gcc runs that produced a published file *)
   failures : int;  (** failed builds and loads *)
   native_cells : int;
-  row_cells : int;  (** polynomial-stencil cells the row evaluator updated *)
+  row_cells : int;  (** stencil cells the row evaluator updated *)
   fallback : string option;  (** the latest failure's reason *)
 }
 
@@ -136,7 +139,7 @@ val stats : unit -> stats
 (** Process-wide, counted whether or not tracing is on. *)
 
 val native_share : stats -> float
-(** Native cells over all polynomial-stencil cells. *)
+(** Native cells over all stencil cells the compiled path updated. *)
 
 val describe : unit -> string
 (** One line: the native share of cells, structure and build counts, and

@@ -1,7 +1,7 @@
 (** Per-kernel invocation cache.
 
-    A compiled kernel's run-time setup (bounds validation, polynomial
-    normalisation, read grouping) depends only on which mesh objects are
+    A compiled kernel's run-time setup (bounds validation, constant
+    folding, read grouping) depends only on which mesh objects are
     bound to the group's grid names and on the scalar parameter values.
     Solvers call the same kernel on the same meshes thousands of times —
     a V-cycle visits a 4³ level as often as the 128³ one — so backends

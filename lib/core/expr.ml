@@ -168,3 +168,18 @@ let rec eval e ~read ~params =
   | Sub (a, b) -> eval a ~read ~params -. eval b ~read ~params
   | Mul (a, b) -> eval a ~read ~params *. eval b ~read ~params
   | Div (a, b) -> eval a ~read ~params /. eval b ~read ~params
+
+let fold ~params e =
+  let rec go e =
+    match e with
+    | Const _ | Read _ -> e
+    | Param p -> Const (params p)
+    | Neg a -> ( match go a with Const c -> Const (-.c) | a -> Neg a)
+    | Add (a, b) -> bin ( +. ) (fun a b -> Add (a, b)) a b
+    | Sub (a, b) -> bin ( -. ) (fun a b -> Sub (a, b)) a b
+    | Mul (a, b) -> bin ( *. ) (fun a b -> Mul (a, b)) a b
+    | Div (a, b) -> bin ( /. ) (fun a b -> Div (a, b)) a b
+  and bin op node a b =
+    match (go a, go b) with Const x, Const y -> Const (op x y) | a, b -> node a b
+  in
+  go e

@@ -74,3 +74,9 @@ val eval :
   t -> read:(string -> Affine.t -> float) -> params:(string -> float) -> float
 (** Reference denotation at one point: [read g m] must return the value of
     grid [g] at [m(x)]. *)
+
+val fold : params:(string -> float) -> t -> t
+(** Replaces every subtree that reads no grid by the [Const] {!eval}
+    computes for it, with the same float operations, so evaluating the
+    result is bitwise equal to evaluating the original.  The result has
+    no [Param]; nothing else is rewritten. *)

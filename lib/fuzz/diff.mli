@@ -4,9 +4,12 @@
     and is treated as the semantic ground truth; every other backend (and
     every interesting configuration of it — worker counts, explicit
     tiles, multicolor reordering, tall-skinny OpenCL work groups) must
-    reproduce its results up to {!Sf_util.Fcmp.close} tolerance.  A
-    failure is reported with the target, grid, witness cell and both
-    values — everything needed to triage or shrink. *)
+    reproduce its results exactly: every executor evaluates each cell's
+    expression tree with interp's association, so the comparison is
+    {!Sf_util.Fcmp.close} at 0 ULPs and atol 0 (bitwise, except that two
+    NaNs and the two zeros compare equal).  A failure is reported with the
+    target, grid, witness cell and both values — everything needed to
+    triage or shrink. *)
 
 type target = {
   backend : Sf_backends.Jit.backend;
@@ -47,16 +50,11 @@ val divergence_to_string : divergence -> string
 val run_reference : ?apps:int -> Gen.spec -> Sf_mesh.Grids.t
 (** [apps] (default 1) interp applications over fresh grids. *)
 
-val check :
-  ?ulps:int -> ?atol:float -> targets:target list -> Gen.spec ->
-  (unit, divergence) result
+val check : targets:target list -> Gen.spec -> (unit, divergence) result
 (** Run the spec on [interp] and on every target over identically
-    initialised fresh grids; report the first divergence.  Defaults:
-    [ulps = 512], [atol = 1e-11] — roomy enough for the compiled path's
-    polynomial reassociation, tight enough to catch real bugs (a dropped
-    tap or a skipped cell is wrong by whole values, not ULPs).  A target
-    that {e raises} is reported as a divergence with [crashed] set rather
-    than aborting the campaign. *)
+    initialised fresh grids; report the first cell that differs.  A
+    target that {e raises} is reported as a divergence with [crashed] set
+    rather than aborting the campaign. *)
 
 (** {2 Fault injection}
 
@@ -93,11 +91,11 @@ val injected_target : bug -> target
 (** {2 The native column}
 
     The native tier is bitwise equal to the row evaluator by design, so
-    its column is held to that: every polynomial stencil of the given
-    programs is built with one synchronous gcc invocation
+    its column is held to that: every stencil of the given programs is
+    built with one synchronous gcc invocation
     ([Native.compile_pending]), each program then runs on the native tier
     and must equal the row evaluator ([compiled]) bit for bit and interp
-    within the tolerance. *)
+    as {!check} compares. *)
 
 type native_check = {
   summary : string;
@@ -106,5 +104,4 @@ type native_check = {
   native_failures : (string * string) list;  (** (label, detail) *)
 }
 
-val check_native :
-  ?ulps:int -> ?atol:float -> (string * Gen.spec) list -> native_check
+val check_native : (string * Gen.spec) list -> native_check

@@ -1,10 +1,11 @@
 (** Tolerance-aware floating-point comparison.
 
-    Backends are allowed to reassociate the arithmetic of a stencil
-    expression (the polynomial normal form evaluates monomial tables in a
-    different order than the AST walker), so cross-backend equality is
-    "same value up to a few units in the last place", not bitwise.  This
-    module is the single definition of that notion, shared by the unit
+    Every executor evaluates a stencil's expression tree with the
+    interpreter's association, so cross-backend equality is bitwise:
+    [close] at its defaults ([ulps = 0], [atol = 0.]).  Comparisons
+    against code that associates differently — the hand-written HPGMG
+    kernels — need "same value up to a few units in the last place".
+    This module is the single definition of both, shared by the unit
     tests and the differential fuzzer: a measured distance in ULPs
     ({!ulp_diff}), a combined ULP-or-absolute predicate ({!close}), and
     array forms over the [floatarray] storage meshes use.

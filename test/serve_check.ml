@@ -2,8 +2,8 @@
 
    Spawns the real binary on a temp Unix socket, then:
      1. two tenants concurrently replay every corpus/*.sfl program and
-        check each RESULT against the interpreter oracle (Fcmp
-        tolerance) AND bitwise against a local same-backend run;
+        check each RESULT against the interpreter oracle AND against a
+        local same-backend run, both bitwise;
      2. one tenant submits a kernel:raise fault while the other keeps
         solving — the faulted request must come back ERROR "fault", the
         clean tenant must be untouched, and the server must survive;
@@ -51,7 +51,7 @@ let read_file path =
 
 let workers = 2
 
-(* Oracle 1: the interpreter, up to cross-backend tolerance. *)
+(* Oracle 1: the interpreter, bitwise (two NaNs compare equal). *)
 let check_oracle ~file spec (grids : P.grid list) =
   let reference = Diff.run_reference spec in
   List.iter
@@ -63,7 +63,7 @@ let check_oracle ~file spec (grids : P.grid list) =
       Array.iteri
         (fun i v ->
           let e = Float.Array.get fa i in
-          if not (Fcmp.close ~ulps:512 ~atol:1e-11 e v) then
+          if not (Fcmp.close ~ulps:0 ~atol:0. e v) then
             die "%s: grid %s diverges from interp oracle at %d: %h vs %h"
               file g.P.gname i e v)
         g.P.gdata)

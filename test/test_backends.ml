@@ -304,7 +304,7 @@ let assert_all_backends_agree ?params ~shape group =
       List.iter
         (fun name ->
           match
-            Mesh.first_mismatch ~ulps:256 ~atol:1e-12
+            Mesh.first_mismatch ~ulps:0 ~atol:0.
               (Grids.find reference name) (Grids.find got name)
           with
           | None -> ()
@@ -407,7 +407,7 @@ let test_equiv_strided_restriction () =
       check_bool
         (Jit.backend_name backend ^ " matches")
         true
-        (Mesh.close ~ulps:256 ~atol:1e-12
+        (Mesh.close ~ulps:0
            (Grids.find ref_grids "coarse")
            (Grids.find grids "coarse")))
     [ Jit.Compiled; Jit.Openmp; Jit.Opencl ];
@@ -459,7 +459,7 @@ let test_equiv_interpolation_out_map () =
       check_bool
         (Jit.backend_name backend ^ " matches")
         true
-        (Mesh.close ~ulps:256 ~atol:1e-12 fine (Grids.find grids "fine")))
+        (Mesh.close ~ulps:0 fine (Grids.find grids "fine")))
     [ Jit.Compiled; Jit.Openmp; Jit.Opencl ]
 
 (* random-stencil property: all backends match the interpreter *)
@@ -514,78 +514,26 @@ let random_stencil_prop =
       in
       let reference = run Jit.Interp Config.default in
       List.for_all
-        (fun (b, c) -> Mesh.close ~ulps:256 ~atol:1e-12 reference (run b c))
+        (fun (b, c) -> Mesh.close ~ulps:0 reference (run b c))
         [
           (Jit.Compiled, Config.default);
           (Jit.Openmp, Config.with_workers 3 Config.default);
           (Jit.Opencl, { Config.default with tall_skinny = (2, 4) });
         ])
 
-(* ------------------------------------------------------------ polyform *)
+(* ------------------------------------------------ expressions as written *)
 
-(* deterministic pseudo-random value for a (grid, map) read *)
-let read_value (g, m) =
-  let h = Hashc.combine (Hashc.string g) (Affine.hash m) land 0xffff in
-  (float_of_int h /. 65536.) -. 0.5
-
-let test_polyform_laplacian () =
-  let e =
-    Expr.(
-      (read "u" (iv [ -1 ]) +: read "u" (iv [ 1 ]))
-      -: (const 2. *: read "u" (iv [ 0 ])))
-  in
-  match Polyform.of_expr ~params:(fun _ -> nan) e with
-  | None -> Alcotest.fail "linear expr not recognised"
-  | Some p ->
-      check_int "three monomials" 3 (List.length p.Polyform.monos);
-      check_bool "all degree 1" true
-        (List.for_all
-           (fun m -> List.length m.Polyform.reads = 1)
-           p.Polyform.monos)
-
-let test_polyform_param_resolution () =
-  let e = Expr.(param "a" *: (read "u" (iv [ 0 ]) +: param "b")) in
-  match Polyform.of_expr ~params:(fun p -> if p = "a" then 2. else 3.) e with
-  | None -> Alcotest.fail "not recognised"
-  | Some p ->
-      check_float "const term = a*b" 6. p.Polyform.const;
-      (match p.Polyform.monos with
-      | [ { Polyform.coeff; _ } ] -> check_float "coeff = a" 2. coeff
-      | _ -> Alcotest.fail "expected one monomial")
-
-let test_polyform_merges_like_terms () =
-  let r = Expr.read "u" (iv [ 0 ]) in
-  let e = Expr.(r +: r +: (const (-2.) *: r)) in
-  match Polyform.of_expr ~params:(fun _ -> nan) e with
-  | None -> Alcotest.fail "not recognised"
-  | Some p -> check_int "cancelled" 0 (List.length p.Polyform.monos)
-
-let test_polyform_rejects_read_division () =
-  let e = Expr.(const 1. /: read "u" (iv [ 0 ])) in
-  check_bool "read in denominator" true
-    (Polyform.of_expr ~params:(fun _ -> nan) e = None);
-  (* constant division is fine *)
-  let e2 = Expr.(read "u" (iv [ 0 ]) /: const 4.) in
-  check_bool "const division ok" true
-    (Polyform.of_expr ~params:(fun _ -> nan) e2 <> None)
-
-let test_polyform_rejects_high_degree () =
-  let r = Expr.read "u" (iv [ 0 ]) in
-  let rec pow n = if n = 1 then r else Expr.(r *: pow (n - 1)) in
-  check_bool "degree 5 rejected" true
-    (Polyform.of_expr ~params:(fun _ -> nan) (pow 5) = None);
-  check_bool "degree 4 accepted" true
-    (Polyform.of_expr ~params:(fun _ -> nan) (pow 4) <> None)
-
-(* random polynomial-friendly expressions *)
+(* random expression trees over reads, constants and parameters *)
 let expr_gen =
   let open QCheck.Gen in
   let leaf =
-    oneof
+    frequency
       [
-        (float_range (-3.) 3. >|= fun c -> Expr.Const c);
-        ( pair (oneofl [ "u"; "v"; "w" ]) (pair (int_range (-2) 2) (int_range (-2) 2))
-        >|= fun (g, (a, b)) -> Expr.read g (iv [ a; b ]) );
+        (2, float_range (-3.) 3. >|= fun c -> Expr.Const c);
+        (1, oneofl [ Expr.Param "a"; Expr.Param "b" ]);
+        ( 4,
+          pair (oneofl [ "u"; "v"; "mesh" ]) (pair (int_range (-2) 2) (int_range (-2) 2))
+          >|= fun (g, (a, b)) -> Expr.read g (iv [ a; b ]) );
       ]
   in
   let rec go depth =
@@ -594,49 +542,44 @@ let expr_gen =
       frequency
         [
           (2, leaf);
-          ( 3,
+          ( 4,
             let* a = go (depth - 1) and* b = go (depth - 1) in
-            oneofl Expr.[ a +: b; a -: b ] );
-          ( 2,
-            let* a = go (depth - 1) and* b = go (depth - 1) in
-            return Expr.(a *: b) );
+            oneofl Expr.[ a +: b; a -: b; a *: b; a /: b ] );
           (1, go (depth - 1) >|= Expr.neg);
         ]
   in
-  go 3
+  go 4
 
-let polyform_props =
+(* Every executor evaluates the stencil's own tree with interp's
+   association, so any expression — reads in a denominator, repeated and
+   cancelling taps, parameter-only subtrees — agrees bit for bit. *)
+let expression_props =
   [
-    QCheck.Test.make ~name:"polyform preserves semantics" ~count:500
+    QCheck.Test.make ~name:"random trees bitwise" ~count:300
       (QCheck.make ~print:Expr.to_string expr_gen)
       (fun e ->
-        match Polyform.of_expr ~params:(fun _ -> nan) e with
-        | None -> QCheck.assume_fail ()
-        | Some p ->
-            let reference =
-              Expr.eval e ~read:(fun g m -> read_value (g, m))
-                ~params:(fun _ -> nan)
-            in
-            let got = Polyform.eval p ~read_value in
-            let scale = Float.max 1. (Float.abs reference) in
-            Float.abs (got -. reference) /. scale < 1e-9);
-    QCheck.Test.make ~name:"factorize preserves semantics" ~count:500
-      (QCheck.make ~print:Expr.to_string expr_gen)
-      (fun e ->
-        match Polyform.of_expr ~params:(fun _ -> nan) e with
-        | None -> QCheck.assume_fail ()
-        | Some p ->
-            let flat = Polyform.eval p ~read_value in
-            let fact =
-              Polyform.eval_factored (Polyform.factorize p) ~read_value
-            in
-            let scale = Float.max 1. (Float.abs flat) in
-            Float.abs (fact -. flat) /. scale < 1e-9);
+        let shape = iv [ 9; 8 ] in
+        let s =
+          Stencil.make ~label:"tree" ~output:"out" ~expr:e
+            ~domain:(Domain.interior 2 ~ghost:2) ()
+        in
+        let group = Group.make ~label:"tree" [ s ] in
+        let params = [ ("a", 0.7); ("b", -1.3) ] in
+        let run backend =
+          let grids = fresh_grids_2d ~seed:3 shape in
+          (Jit.compile backend ~shape group).Kernel.run ~params grids;
+          Grids.find grids "out"
+        in
+        let reference = run Jit.Interp in
+        List.for_all
+          (fun b -> Mesh.close ~ulps:0 reference (run b))
+          [ Jit.Compiled; Jit.Openmp ]);
   ]
 
-let test_closure_fallback_division () =
-  (* a stencil whose expression reads in a denominator must still execute
-     correctly through the closure fallback on every backend *)
+let test_read_in_denominator () =
+  (* a stencil whose expression reads in a denominator takes the same
+     path as any other and agrees with interp bit for bit on every
+     backend *)
   let shape = iv [ 8; 8 ] in
   let s =
     Stencil.make ~label:"recip" ~output:"out"
@@ -661,7 +604,7 @@ let assert_sweep_matches_interp ~name ~shape ~mk_grids stencil =
   let reference = run Jit.Interp in
   List.iter
     (fun backend ->
-      match Fcmp.first_mismatch ~ulps:256 ~atol:1e-12 reference (run backend) with
+      match Fcmp.first_mismatch ~ulps:0 ~atol:0. reference (run backend) with
       | None -> ()
       | Some (i, expect, got) ->
           Alcotest.failf "%s: %s differs from interp at %d: %.17g vs %.17g" name
@@ -734,12 +677,10 @@ let random_grids ~shape_of (s : Stencil.t) =
        (fun i g -> (g, Mesh.random ~seed:(31 + i) (shape_of g)))
        (Stencil.grids s))
 
-(* The executor keeps Polyform.eval_factored's association order, so on
-   the HPGMG operators the compiled backend equals a sequential per-cell
-   loop of that reference evaluator bit for bit. *)
-let test_row_bitwise_eval_factored () =
+(* The row evaluator and interp evaluate the same tree in the same
+   order, so on the HPGMG operators they agree bit for bit. *)
+let test_row_bitwise_interp () =
   let fine = iv [ 18; 18; 18 ] and coarse = iv [ 10; 10; 10 ] in
-  let params = function "inv_h2" -> 256. | p -> Alcotest.failf "param %s" p in
   let cases =
     [
       (Sf_hpgmg.Operators.gsrb_color ~color:0, fine, fun _ -> fine);
@@ -756,28 +697,16 @@ let test_row_bitwise_eval_factored () =
   in
   List.iter
     (fun ((s : Stencil.t), shape, shape_of) ->
-      let got = random_grids ~shape_of s and expect = random_grids ~shape_of s in
-      (Jit.compile Jit.Compiled ~shape (Group.make ~label:s.Stencil.label [ s ]))
-        .Kernel.run ~params:[ ("inv_h2", 256.) ] got;
-      let f =
-        match Polyform.of_expr ~params s.Stencil.expr with
-        | Some p -> Polyform.factorize p
-        | None -> Alcotest.failf "%s is not polynomial" s.Stencil.label
+      let run backend =
+        let grids = random_grids ~shape_of s in
+        (Jit.compile backend ~shape (Group.make ~label:s.Stencil.label [ s ]))
+          .Kernel.run ~params:[ ("inv_h2", 256.) ] grids;
+        Mesh.data (Grids.find grids s.Stencil.output)
       in
-      let out = Grids.find expect s.Stencil.output in
-      List.iter
-        (fun rect ->
-          Domain.iter rect (fun pt ->
-              Mesh.set out
-                (Affine.apply s.Stencil.out_map pt)
-                (Polyform.eval_factored f ~read_value:(fun (g, m) ->
-                     Mesh.get (Grids.find expect g) (Affine.apply m pt)))))
-        (Domain.resolve ~shape s.Stencil.domain);
       check_int
-        (s.Stencil.label ^ ": max ulp vs eval_factored")
+        (s.Stencil.label ^ ": max ulp vs interp")
         0
-        (Fcmp.array_max_ulp (Mesh.data out)
-           (Mesh.data (Grids.find got s.Stencil.output))))
+        (Fcmp.array_max_ulp (run Jit.Interp) (run Jit.Compiled)))
     cases
 
 let test_row_no_per_cell_allocation () =
@@ -801,7 +730,7 @@ let test_row_no_per_cell_allocation () =
 (* ------------------------------------------------------ exec edge cases *)
 
 let test_constant_stencil () =
-  (* an expression with no reads at all: polyform is a bare constant *)
+  (* an expression with no reads at all: a folded constant *)
   let shape = iv [ 5; 5 ] in
   let s =
     Stencil.make ~label:"fill" ~output:"out"
@@ -848,7 +777,7 @@ let test_one_dimensional_backends () =
   List.iter
     (fun (b, c) ->
       check_bool (Jit.backend_name b ^ " 1-d") true
-        (Mesh.close ~ulps:256 ~atol:1e-12 reference (run b c)))
+        (Mesh.close ~ulps:0 reference (run b c)))
     [
       (Jit.Compiled, Config.default);
       (Jit.Openmp, Config.with_workers 2 Config.default);
@@ -925,7 +854,7 @@ let test_periodic_faces_all_backends () =
   List.iter
     (fun b ->
       check_bool (Jit.backend_name b ^ " periodic") true
-        (Mesh.close ~ulps:256 ~atol:1e-12 reference (run b)))
+        (Mesh.close ~ulps:0 reference (run b)))
     [ Jit.Compiled; Jit.Openmp; Jit.Opencl ]
 
 let test_pool_more_workers_than_tasks () =
@@ -1676,7 +1605,7 @@ let test_overlapping_union_all_backends () =
       check_bool
         (Jit.backend_name b ^ " agrees")
         true
-        (Mesh.close ~ulps:256 ~atol:1e-12 reference
+        (Mesh.close ~ulps:0 reference
            (run_edge b ~shape ~domain ~expr)))
     all_backends
 
@@ -1754,24 +1683,12 @@ let () =
             test_equiv_strided_restriction;
           Alcotest.test_case "interpolation out_map" `Quick
             test_equiv_interpolation_out_map;
+          Alcotest.test_case "read in a denominator" `Quick
+            test_read_in_denominator;
         ] );
       ( "equivalence-props",
         [ QCheck_alcotest.to_alcotest random_stencil_prop ] );
-      ( "polyform",
-        [
-          Alcotest.test_case "laplacian" `Quick test_polyform_laplacian;
-          Alcotest.test_case "param resolution" `Quick
-            test_polyform_param_resolution;
-          Alcotest.test_case "like terms merge" `Quick
-            test_polyform_merges_like_terms;
-          Alcotest.test_case "read division rejected" `Quick
-            test_polyform_rejects_read_division;
-          Alcotest.test_case "degree cap" `Quick
-            test_polyform_rejects_high_degree;
-          Alcotest.test_case "closure fallback" `Quick
-            test_closure_fallback_division;
-        ] );
-      ("polyform-props", List.map QCheck_alcotest.to_alcotest polyform_props);
+      ("expression-props", List.map QCheck_alcotest.to_alcotest expression_props);
       ( "row-evaluator",
         [
           Alcotest.test_case "lexicographic sweep" `Quick
@@ -1782,8 +1699,7 @@ let () =
           Alcotest.test_case "previous-row sweep" `Quick
             test_row_previous_row_sweep;
           Alcotest.test_case "aliased binding" `Quick test_row_aliased_binding;
-          Alcotest.test_case "bitwise eval_factored" `Quick
-            test_row_bitwise_eval_factored;
+          Alcotest.test_case "bitwise interp" `Quick test_row_bitwise_interp;
           Alcotest.test_case "no per-cell allocation" `Quick
             test_row_no_per_cell_allocation;
         ] );

@@ -81,17 +81,6 @@ let assert_bitwise name a b =
         (String.concat "," (List.map string_of_int (Ivec.to_list at)))
         va vb
 
-(* cross-backend comparisons use the suite's standard tolerance: backends
-   may associate sums differently (bitwise identity is only promised
-   between plans on the SAME backend) *)
-let assert_close name a b =
-  match Mesh.first_mismatch ~ulps:256 ~atol:1e-12 a b with
-  | None -> ()
-  | Some (at, va, vb) ->
-      Alcotest.failf "%s: first mismatch at %s: %h vs %h" name
-        (String.concat "," (List.map string_of_int (Ivec.to_list at)))
-        va vb
-
 (* ------------------------------------------------- Tiling edge cases *)
 
 let strided_rect () =
@@ -197,7 +186,7 @@ let test_fused_backends_agree () =
       (Jit.compile ~config:cfg backend ~shape group).Kernel.run grids;
       List.iter
         (fun g ->
-          assert_close
+          assert_bitwise
             (Jit.backend_name backend ^ " fused " ^ g)
             (Grids.find reference g) (Grids.find grids g))
         [ "tmp"; "out" ])
@@ -489,6 +478,29 @@ let test_autotune_roundtrip () =
       check_bool "different key misses" true
         (r3.Autotune.source = Autotune.Measured))
 
+(* The DB keys on the printed program, not the 30-bit [Group.hash]:
+   these two scalings share a hash and a label, and must not share a
+   plan. *)
+let test_autotune_hash_collision () =
+  with_tmp_db (fun db ->
+      let shape = iv [ 8; 8 ] in
+      let scale w =
+        Group.make ~label:"scale"
+          [
+            Stencil.make ~label:"scale" ~output:"out"
+              ~expr:Expr.(const w *: read "u" (iv [ 0; 0 ]))
+              ~domain:(Domain.interior 2 ~ghost:1)
+              ();
+          ]
+      in
+      let a = scale 23.182 and b = scale 38.905 in
+      check_int "the pair collides" (Group.hash a) (Group.hash b);
+      let plan = { Autotune.fusion = false; tile = Some [ 4; 4 ]; time_tile = 1; time_block = 0 } in
+      let stored g = Autotune.db_replay ~db ~config:Config.default ~backend:Jit.Openmp ~shape ~reps:1 g in
+      Autotune.db_persist ~db ~config:Config.default ~backend:Jit.Openmp ~shape ~reps:1 ~plan a;
+      check_bool "its own plan replays" true (stored a = Some plan);
+      check_bool "the other program misses" true (stored b = None))
+
 let test_autotune_candidates_bounded () =
   let shape = iv [ 21; 11 ] in
   let cands =
@@ -582,6 +594,7 @@ let () =
       ( "autotune",
         [
           Alcotest.test_case "db round-trip" `Quick test_autotune_roundtrip;
+          Alcotest.test_case "db hash collision" `Quick test_autotune_hash_collision;
           Alcotest.test_case "candidates bounded" `Quick
             test_autotune_candidates_bounded;
           Alcotest.test_case "replay bitwise" `Quick

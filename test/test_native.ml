@@ -1,5 +1,6 @@
 (* The native tier: gcc-compiled kernels are bitwise equal to the row
-   evaluator on every HPGMG operator, the emitted C is warning-free, and
+   evaluator and to interp on every HPGMG operator, the emitted C is
+   warning-free, and
    the on-disk cache survives truncated files, concurrent builds and
    process exit.  Where gcc cannot run (not installed, or the
    native-compile fault armed) each check prints a "native: skipped"
@@ -99,20 +100,30 @@ let build_or_skip () =
       | None -> Alcotest.failf "native build: %s" (Native.failure_to_string f))
 
 let test_bitwise_hpgmg () =
-  let row =
-    List.map
-      (fun c ->
-        let g = random_grids ~shape_of:c.shape_of c.stencil in
-        run ~prepare:Exec.prepare_row ~shape:c.shape g c.stencil;
-        g)
-      cases
+  let on prepare c =
+    let g = random_grids ~shape_of:c.shape_of c.stencil in
+    prepare ~shape:c.shape g c.stencil;
+    g
   in
+  let interp ~shape grids (s : Stencil.t) =
+    List.iter (Exec.run_rect_interp grids ~params s) (Domain.resolve ~shape s.Stencil.domain)
+  in
+  let same what c expect got =
+    List.iter
+      (fun g ->
+        if not (bits_equal (Mesh.data (Grids.find expect g)) (Mesh.data (Grids.find got g)))
+        then Alcotest.failf "%s: grid %s: %s" c.name g what)
+      (Grids.names expect)
+  in
+  let oracle = List.map (on interp) cases in
+  let row = List.map (on (run ~prepare:Exec.prepare_row)) cases in
+  List.iter2 (fun c (o, r) -> same "row evaluator differs from interp" c o r) cases
+    (List.combine oracle row);
   if build_or_skip () then
     List.iter2
-      (fun c expect ->
-        let got = random_grids ~shape_of:c.shape_of c.stencil in
+      (fun c (o, r) ->
         let before = (Native.stats ()).Native.native_cells in
-        run ~prepare:Exec.prepare_compiled ~shape:c.shape got c.stencil;
+        let got = on (run ~prepare:Exec.prepare_compiled) c in
         let cells =
           Domain.npoints_union (Domain.resolve ~shape:c.shape c.stencil.Stencil.domain)
         in
@@ -120,12 +131,9 @@ let test_bitwise_hpgmg () =
           (c.name ^ ": cells run natively")
           cells
           ((Native.stats ()).Native.native_cells - before);
-        List.iter
-          (fun g ->
-            if not (bits_equal (Mesh.data (Grids.find expect g)) (Mesh.data (Grids.find got g)))
-            then Alcotest.failf "%s: grid %s differs from the row evaluator" c.name g)
-          (Grids.names expect))
-      cases row
+        same "native differs from the row evaluator" c r got;
+        same "native differs from interp" c o got)
+      cases (List.combine oracle row)
 
 let test_tile_switches_tier () =
   (* a tile instantiated before its structure is built runs natively on
@@ -186,15 +194,7 @@ let test_observability () =
 
 (* Every case's C through gcc -Wall -Wextra -Werror, in one call. *)
 let test_warning_free () =
-  let sources =
-    List.filter_map
-      (fun c ->
-        Option.map
-          (fun p -> Native.emit_source c.stencil (Polyform.factorize p))
-          (Polyform.of_expr ~params c.stencil.Stencil.expr))
-      cases
-  in
-  Alcotest.(check int) "every case is polynomial" (List.length cases) (List.length sources);
+  let sources = List.map (fun c -> Native.emit_source ~params c.stencil) cases in
   let sources = List.sort_uniq String.compare sources in
   let src = Filename.temp_file "sf_native" ".c" in
   Out_channel.with_open_bin src (fun oc ->
